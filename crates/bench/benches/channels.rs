@@ -32,23 +32,10 @@ fn bench_channels(c: &mut Criterion) {
             b.iter(|| sinr.resolve(&positions, &tx, &rx, &mut rng));
         });
 
-        let cache = sinr
-            .build_gain_cache(&positions)
-            .expect("bench sizes are within the cache guard");
-        group.bench_with_input(BenchmarkId::new("sinr-cached", n), &n, |b, _| {
-            let mut rng = SmallRng::seed_from_u64(0);
-            b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
-        });
-
         let rayleigh = RayleighSinrChannel::new(params);
         group.bench_with_input(BenchmarkId::new("rayleigh", n), &n, |b, _| {
             let mut rng = SmallRng::seed_from_u64(0);
             b.iter(|| rayleigh.resolve(&positions, &tx, &rx, &mut rng));
-        });
-
-        group.bench_with_input(BenchmarkId::new("rayleigh-cached", n), &n, |b, _| {
-            let mut rng = SmallRng::seed_from_u64(0);
-            b.iter(|| rayleigh.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
         });
 
         let radio = RadioChannel::new();
@@ -57,35 +44,6 @@ fn bench_channels(c: &mut Criterion) {
             b.iter(|| radio.resolve(&positions, &tx, &rx, &mut rng));
         });
     }
-    group.finish();
-}
-
-/// The acceptance workload for the gain cache: n = 2048 with *half* the
-/// nodes transmitting (maximal per-listener interference work). The cached
-/// path must come in at least 2× faster than the uncached one.
-fn bench_cached_vs_uncached(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cached_vs_uncached_n2048_half_tx");
-    group.warm_up_time(Duration::from_secs(1));
-    group.measurement_time(Duration::from_secs(3));
-    let n = 2048usize;
-    let d = Deployment::uniform_density(n, 0.25, 7);
-    let positions = d.points().to_vec();
-    let tx: Vec<usize> = (0..n).step_by(2).collect();
-    let rx: Vec<usize> = (1..n).step_by(2).collect();
-    let params = SinrParams::default_single_hop().with_power_for(&d);
-    let sinr = SinrChannel::new(params);
-    let cache = sinr
-        .build_gain_cache(&positions)
-        .expect("n = 2048 is within the cache guard");
-
-    group.bench_function("uncached", |b| {
-        let mut rng = SmallRng::seed_from_u64(0);
-        b.iter(|| sinr.resolve(&positions, &tx, &rx, &mut rng));
-    });
-    group.bench_function("cached", |b| {
-        let mut rng = SmallRng::seed_from_u64(0);
-        b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
-    });
     group.finish();
 }
 
@@ -106,20 +64,17 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
     let (tx, rx) = split(n);
     let params = SinrParams::default_single_hop().with_power_for(&d);
     let sinr = SinrChannel::new(params);
-    let cache = sinr
-        .build_gain_cache(&positions)
-        .expect("n = 2048 is within the cache guard");
 
     // Channel layer: the neutral perturbation must cost nothing beyond a
     // branch; a jamming perturbation adds one add per listener.
-    group.bench_function("resolve-cached", |b| {
+    group.bench_function("resolve", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
-        b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
+        b.iter(|| sinr.resolve(&positions, &tx, &rx, &mut rng));
     });
     group.bench_function("resolve-perturbed-neutral", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
         let neutral = ChannelPerturbation::neutral();
-        b.iter(|| sinr.resolve_perturbed(&positions, &tx, &rx, Some(&cache), &neutral, &mut rng));
+        b.iter(|| sinr.resolve_perturbed(&positions, &tx, &rx, &neutral, &mut rng));
     });
     let jam: Vec<f64> = positions
         .iter()
@@ -128,9 +83,7 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
     group.bench_function("resolve-perturbed-jammed", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
         let perturbation = ChannelPerturbation::new(2.0, &jam);
-        b.iter(|| {
-            sinr.resolve_perturbed(&positions, &tx, &rx, Some(&cache), &perturbation, &mut rng)
-        });
+        b.iter(|| sinr.resolve_perturbed(&positions, &tx, &rx, &perturbation, &mut rng));
     });
 
     // Simulation layer: a full round with no plan vs. an empty plan vs. an
@@ -167,35 +120,6 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
     group.finish();
 }
 
-/// The gain-cache knockout maintenance kernel: one deactivate + activate
-/// cycle updates every listener's standing interference total via a single
-/// cache-row walk. This is the hot loop the incremental-totals design
-/// keeps O(n) per knockout instead of O(n²) re-summation.
-fn bench_active_interference_knockout(c: &mut Criterion) {
-    let mut group = c.benchmark_group("active_interference_knockout_n2048");
-    group.warm_up_time(Duration::from_secs(1));
-    group.measurement_time(Duration::from_secs(2));
-    let n = 2048usize;
-    let d = Deployment::uniform_density(n, 0.25, 7);
-    let positions = d.points().to_vec();
-    let params = SinrParams::default_single_hop().with_power_for(&d);
-    let sinr = SinrChannel::new(params);
-    let cache = sinr
-        .build_gain_cache(&positions)
-        .expect("n = 2048 is within the cache guard");
-
-    group.bench_function("deactivate-activate-cycle", |b| {
-        let mut active = ActiveInterference::new(&cache);
-        let mut w = 0usize;
-        b.iter(|| {
-            active.deactivate(&cache, w);
-            active.activate(&cache, w);
-            w = (w + 1) % n;
-        });
-    });
-    group.finish();
-}
-
 fn bench_pow_alpha(c: &mut Criterion) {
     let mut group = c.benchmark_group("pow_alpha");
     group.warm_up_time(Duration::from_secs(1));
@@ -216,7 +140,6 @@ fn bench_pow_alpha(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
-    targets = bench_channels, bench_cached_vs_uncached, bench_faulted_vs_unfaulted,
-        bench_active_interference_knockout, bench_pow_alpha
+    targets = bench_channels, bench_faulted_vs_unfaulted, bench_pow_alpha
 }
 criterion_main!(benches);

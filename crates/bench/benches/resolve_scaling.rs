@@ -1,6 +1,6 @@
-//! Tier-scaling benches: per-round resolve cost of the exact scan, the
-//! gain cache, and the far-field engine as `n` grows into the regime where
-//! the quadratic tiers stop being viable.
+//! Tier-scaling benches: per-round resolve cost of the exact scan and the
+//! far-field engine as `n` grows into the regime where the quadratic scan
+//! stops being viable.
 //!
 //! The snapshot numbers recorded in `BENCH_scaling.json` come from the
 //! `scaling` binary (which times the same workload without Criterion's
@@ -44,14 +44,6 @@ fn bench_resolve_scaling(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
                 let mut rng = SmallRng::seed_from_u64(0);
                 b.iter(|| sinr.resolve(&positions, &tx, &rx, &mut rng));
-            });
-        }
-
-        // The gain cache refuses deployments above its size guard.
-        if let Some(cache) = sinr.build_gain_cache(&positions) {
-            group.bench_with_input(BenchmarkId::new("gain-cache", n), &n, |b, _| {
-                let mut rng = SmallRng::seed_from_u64(0);
-                b.iter(|| sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng));
             });
         }
 

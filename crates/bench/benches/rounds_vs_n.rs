@@ -12,9 +12,7 @@ fn bench_e1(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
     for &n in &[128usize, 512, 2048] {
-        // Gain cache on (the simulator default) vs. forced off — same
-        // seeds, bit-identical results, different wall-clock.
-        group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("fkn", n), &n, |b, &n| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
@@ -24,20 +22,6 @@ fn bench_e1(c: &mut Criterion) {
                     Box::new(Fkn::new())
                 })
                 .run_until_resolved(1_000_000)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("uncached", n), &n, |b, &n| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let d = Deployment::uniform_density(n, 0.25, seed);
-                let params = SinrParams::default_single_hop().with_power_for(&d);
-                let mut sim =
-                    Simulation::new(d, Box::new(SinrChannel::new(params)), seed, |_| {
-                        Box::new(Fkn::new())
-                    });
-                sim.set_gain_cache_enabled(false);
-                sim.run_until_resolved(1_000_000)
             });
         });
     }

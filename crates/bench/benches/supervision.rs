@@ -58,7 +58,7 @@ fn measure() -> (Duration, Duration) {
     let trial: Arc<TrialFn> = Arc::new(run_trial);
     let mut direct = Vec::with_capacity(REPS);
     let mut supervised = Vec::with_capacity(REPS);
-    // Warm-up: fault the gain-cache code paths and the allocator once.
+    // Warm-up: fault the resolve code paths and the allocator once.
     let _ = time_direct();
     for _ in 0..REPS {
         direct.push(time_direct());

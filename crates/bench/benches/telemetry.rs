@@ -58,7 +58,7 @@ fn measure() -> (Duration, Duration, Duration) {
     let mut base = Vec::with_capacity(REPS);
     let mut noop = Vec::with_capacity(REPS);
     let mut memory = Vec::with_capacity(REPS);
-    // Warm-up: fault the gain-cache code paths and the allocator once.
+    // Warm-up: fault the resolve code paths and the allocator once.
     let _ = time_stepping(Sink::None);
     for _ in 0..REPS {
         base.push(time_stepping(Sink::None));

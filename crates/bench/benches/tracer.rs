@@ -61,7 +61,7 @@ fn measure(reps: usize, rounds: u64) -> (Duration, Duration, Duration) {
     let mut base = Vec::with_capacity(reps);
     let mut disabled = Vec::with_capacity(reps);
     let mut enabled = Vec::with_capacity(reps);
-    // Warm-up: fault the gain-cache code paths and the allocator once.
+    // Warm-up: fault the resolve code paths and the allocator once.
     let _ = time_stepping(Mode::None, rounds);
     for _ in 0..reps {
         base.push(time_stepping(Mode::None, rounds));

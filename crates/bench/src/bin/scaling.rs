@@ -1,6 +1,6 @@
 //! Hand-timed tier-scaling snapshot: per-round resolve cost of the exact
-//! scan, the gain cache, the flat far-field engine, and the hierarchical
-//! (tile-tree) engine at
+//! scan, the flat far-field engine, and the hierarchical (tile-tree)
+//! engine at
 //! `n ∈ {1024, 4096, 16384, 65536, 262144, 1048576}` (quadratic tiers are
 //! skipped above their ceilings), written as `BENCH_scaling.json`.
 //!

@@ -20,8 +20,7 @@ use crate::probe::{KernelSample, SizeSample};
 pub struct BaselineEntry {
     /// Number of deployed nodes.
     pub n: usize,
-    /// Tier name as committed (`"exact"`, `"gain-cache"`, `"farfield"`,
-    /// `"hierarchical"`).
+    /// Tier name as committed (`"exact"`, `"farfield"`, `"hierarchical"`).
     pub tier: String,
     /// Committed mean wall time per resolve round, in milliseconds.
     pub ms_per_round: f64,

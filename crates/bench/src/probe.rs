@@ -1,7 +1,7 @@
 //! The resolve-tier scaling probe shared by the `scaling` snapshot binary
 //! and the `bench-gate` regression gate: hand-timed per-round resolve cost
-//! of the exact scan, the gain cache, the flat far-field engine, and the
-//! hierarchical (tile-tree) engine over a size sweep, rendered as the
+//! of the exact scan, the flat far-field engine, and the hierarchical
+//! (tile-tree) engine over a size sweep, rendered as the
 //! `BENCH_scaling.json` schema.
 //!
 //! Timing is deliberately simple (adaptive iteration counts against a
@@ -65,8 +65,7 @@ pub fn time_ms(mut f: impl FnMut(), budget_ms: f64) -> (u32, f64) {
 /// One timed resolve tier at one deployment size.
 #[derive(Clone, Debug)]
 pub struct TierSample {
-    /// Tier name: `"exact"`, `"gain-cache"`, `"farfield"`, or
-    /// `"hierarchical"`.
+    /// Tier name: `"exact"`, `"farfield"`, or `"hierarchical"`.
     pub tier: &'static str,
     /// Iterations the adaptive loop settled on.
     pub iters: u32,
@@ -201,25 +200,6 @@ pub fn run_probe(
             });
             receptions
         });
-
-        if let Some(cache) = sinr.build_gain_cache(&positions) {
-            let cached_rx = sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng);
-            let reference = exact_rx
-                .as_ref()
-                .expect("the cache size guard is far below the exact-tier ceiling");
-            assert_eq!(reference, &cached_rx, "gain cache broke exactness at n={n}");
-            let (iters, ms) = time_ms(
-                || {
-                    sinr.resolve_cached(&positions, &tx, &rx, Some(&cache), &mut rng);
-                },
-                budget_ms,
-            );
-            tiers.push(TierSample {
-                tier: "gain-cache",
-                iters,
-                ms_per_round: ms,
-            });
-        }
 
         let mut farfield_fallback_fraction = 0.0;
         let far_rx = (n <= FARFIELD_TIER_CEILING).then(|| {

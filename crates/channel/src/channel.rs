@@ -5,8 +5,8 @@ use rand::rngs::SmallRng;
 use fading_geom::Point;
 
 use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, GainCache, HierarchicalFarFieldEngine,
-    NodeId, Reception, SinrBreakdown,
+    ChannelPerturbation, ChunkExecutor, FarFieldEngine, HierarchicalFarFieldEngine, NodeId,
+    Reception, SinrBreakdown,
 };
 
 pub(crate) mod sealed {
@@ -41,38 +41,14 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
         rng: &mut SmallRng,
     ) -> Vec<Reception>;
 
-    /// Like [`Channel::resolve`], optionally consulting a precomputed
-    /// [`GainCache`] for the deterministic pairwise gains.
-    ///
-    /// The contract is strict: for any channel, `resolve_cached` with a
-    /// cache built by [`Channel::build_gain_cache`] over the same
-    /// `positions` returns a `Reception` vector **bit-identical** to
-    /// `resolve` (and consumes the `rng` identically). Passing `None`, a
-    /// cache that does not match `positions`, or calling on a channel
-    /// without a cached path falls back to `resolve` outright.
-    ///
-    /// The default implementation ignores the cache; geometry-free models
-    /// (the radio channels) keep it.
-    fn resolve_cached(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let _ = cache;
-        self.resolve(positions, transmitters, listeners, rng)
-    }
-
-    /// Like [`Channel::resolve_cached`], additionally applying a per-round
+    /// Like [`Channel::resolve`], additionally applying a per-round
     /// [`ChannelPerturbation`] (noise scaling and jammer interference from
     /// a fault plan).
     ///
     /// Contract:
     ///
     /// * A [neutral](ChannelPerturbation::is_neutral) perturbation **must**
-    ///   produce results bit-identical to [`Channel::resolve_cached`]
+    ///   produce results bit-identical to [`Channel::resolve`]
     ///   (and consume the rng identically) — every implementation falls
     ///   back outright, so an empty fault plan is invisible.
     /// * SINR-family channels add `extra_at(v)` to listener `v`'s
@@ -87,11 +63,10 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        let mut out = self.resolve_cached(positions, transmitters, listeners, cache, rng);
+        let mut out = self.resolve(positions, transmitters, listeners, rng);
         if perturbation.has_jamming() {
             let jammed = if self.supports_collision_detection() {
                 Reception::Collision
@@ -117,35 +92,32 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
     ///   [`Channel::resolve_perturbed`] returns for the same arguments, and
     ///   the rng is consumed identically — instrumentation observes, it
     ///   never perturbs. (With a neutral perturbation this transitively
-    ///   equals [`Channel::resolve_cached`] / [`Channel::resolve`].)
+    ///   equals [`Channel::resolve`].)
     /// * `breakdown` is cleared first. SINR-family channels then push
     ///   exactly `listeners.len()` entries, one per listener in order;
     ///   geometry-free channels (the radio models) leave it empty — they
     ///   have no SINR to decompose, which is this default implementation.
     /// * Each breakdown's `decoded` flag reflects the SINR test **before**
     ///   any post-SINR loss layer (see [`SinrBreakdown`]).
-    #[allow(clippy::too_many_arguments)] // mirrors resolve_perturbed + the breakdown out-param
     fn resolve_instrumented(
         &self,
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
         breakdown: &mut Vec<SinrBreakdown>,
     ) -> Vec<Reception> {
         breakdown.clear();
-        self.resolve_perturbed(positions, transmitters, listeners, cache, perturbation, rng)
+        self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
     }
 
     /// Like [`Channel::resolve_perturbed`], optionally consulting a
     /// [`FarFieldEngine`] for tile-aggregated interference pruning.
     ///
-    /// The contract is the same **decision-exactness** guarantee as the
-    /// gain cache, one tier up: for any channel, `resolve_farfield` with an
-    /// engine built by [`Channel::build_farfield_engine`] over the same
-    /// `positions` returns a `Reception` vector **bit-identical** to
+    /// The contract is **decision-exactness**: for any channel,
+    /// `resolve_farfield` with an engine built by
+    /// [`Channel::build_farfield_engine`] over the same `positions` returns a `Reception` vector **bit-identical** to
     /// [`Channel::resolve_perturbed`] (and consumes the `rng` identically —
     /// the engine is only ever offered to channels whose resolve draws no
     /// randomness). Passing `None`, an engine that does not
@@ -165,7 +137,7 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
         let _ = engine;
-        self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
+        self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
     }
 
     /// Like [`Channel::resolve_farfield`], optionally consulting a
@@ -195,7 +167,7 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
         let _ = (engine, executor);
-        self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
+        self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
     }
 
     /// The received power at `to` of an external interferer (a jammer)
@@ -206,40 +178,10 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// geometry-free channels return `power` unchanged (any active jammer
     /// blankets every listener — the radio models have no notion of
     /// distance). Used by the simulator to precompute per-node jammer
-    /// gains once per deployment, so jamming rides the same
-    /// precompute-once fast path as the [`GainCache`].
+    /// gains once per deployment.
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         let _ = (from, to);
         power
-    }
-
-    /// Builds the [`GainCache`] this channel can exploit for `positions`,
-    /// or `None` when the model has no deterministic pairwise gains (the
-    /// radio channels) or the deployment exceeds the cache's size guard.
-    ///
-    /// Exists on the trait (rather than on the concrete types) so
-    /// simulators holding a `Box<dyn Channel>` can build the matching
-    /// cache without knowing the concrete model or its parameters.
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        let _ = positions;
-        None
-    }
-
-    /// Whether a [`GainCache`] actually speeds this channel up at
-    /// deployment size `n`. The simulator consults this before calling
-    /// [`Channel::build_gain_cache`]; since cached and uncached resolves
-    /// are bit-identical by contract, declining the cache is purely a
-    /// performance policy and can never change results.
-    ///
-    /// Default `true`: for the deterministic SINR family a cached row
-    /// replaces the entire scan arithmetic, which wins at every size the
-    /// cache's own guard admits. The Rayleigh channel overrides this — its
-    /// per-pair fade work dwarfs the deterministic-gain recompute, so
-    /// beyond [`RAYLEIGH_CACHE_PROFITABLE_NODES`](crate::RAYLEIGH_CACHE_PROFITABLE_NODES)
-    /// the memory-bound row reads lose to the batched kernels.
-    fn gain_cache_profitable(&self, n: usize) -> bool {
-        let _ = n;
-        true
     }
 
     /// Builds the [`FarFieldEngine`] this channel can exploit for
@@ -248,10 +190,9 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// and Rayleigh fading draws per-pair randomness in canonical order
     /// that pruning would desynchronize.
     ///
-    /// Unlike the gain cache, the engine has no size guard — its memory is
-    /// bounded by the tile-pair tables ([`MAX_TILES_PER_SIDE`](crate::MAX_TILES_PER_SIDE)⁴
-    /// entries), not by `n²` — which is exactly what lets it serve the
-    /// deployments the cache refuses.
+    /// The engine's memory is bounded by the tile-pair tables
+    /// ([`MAX_TILES_PER_SIDE`](crate::MAX_TILES_PER_SIDE)⁴ entries), not by
+    /// `n²`.
     fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {
         let _ = positions;
         None

@@ -4,8 +4,8 @@
 //! # The idea
 //!
 //! Exact SINR resolve walks every transmitter per listener — O(|T|·|L|)
-//! work per round, which is the wall that stops the simulator past the
-//! [`GainCache`] size guard. But the SINR *decision* rarely needs the exact
+//! work per round, which is the wall that stops the simulator at large `n`.
+//! But the SINR *decision* rarely needs the exact
 //! far interference: the paper's own analysis (Lemmas 3–4) bounds the
 //! contribution of each exponential annulus `A^i_t(u)` by its population
 //! times the extremal gain over the annulus, and that argument turns
@@ -32,7 +32,7 @@
 //! # The decision-exactness contract
 //!
 //! `resolve_farfield` is *not* an approximation: its `Reception` vectors
-//! are **bit-identical** to `resolve`/`resolve_cached` on all inputs. The
+//! are **bit-identical** to `resolve` on all inputs. The
 //! pruned path only ever skips work whose outcome is already certain:
 //!
 //! * **Certain silence** — the exact denominator is at least the (possibly
@@ -192,8 +192,8 @@ pub struct FarFieldEngine {
     pair_g_hi: Vec<f64>,
     /// Live-node flags mirrored from the simulator's knockout/churn state.
     alive: Vec<bool>,
-    /// Live members per tile, maintained incrementally alongside
-    /// `ActiveInterference`.
+    /// Live members per tile, maintained incrementally on every
+    /// deactivate/activate.
     alive_per_tile: Vec<u32>,
     num_alive: usize,
     /// SoA mirror of the build positions, feeding the batched kernels
@@ -323,8 +323,7 @@ impl FarFieldEngine {
 
     /// Whether this engine was built over exactly these `positions` and
     /// SINR parameters (size, power, α, and a first/last position
-    /// fingerprint — the same discipline as
-    /// [`GainCache::matches`](crate::GainCache::matches)).
+    /// fingerprint).
     #[must_use]
     pub fn matches(&self, positions: &[Point], params: &SinrParams) -> bool {
         self.n == positions.len()
@@ -473,7 +472,7 @@ impl FarFieldEngine {
         }
         self.stamp += 1;
         // Round-level gather for the batched exact fallback (shared with
-        // the canonical resolve's uncached path), plus the near-scan gain
+        // the canonical resolve), plus the near-scan gain
         // buffer — both moved out of `self` so the listener loop can
         // borrow tiles and buckets immutably alongside them.
         let mut scan = std::mem::take(&mut self.scan);

@@ -22,7 +22,7 @@
 //!   exact in IEEE-754, so `powf` sees identical arguments);
 //! * downstream consumers fold the gain scratch **in slice order**
 //!   ([`fold_scan`]), reproducing the canonical `total += sig` /
-//!   first-strict-max accumulation of `scan_transmitters` add for add.
+//!   first-strict-max accumulation of the scalar scan add for add.
 //!
 //! No SIMD reassociation of the *fold* is attempted — a single listener's
 //! `total += sig` chain is folded strictly in slice order. What *is*
@@ -499,7 +499,7 @@ pub fn scan_block(
 }
 
 /// Outcome of folding a gain scratch buffer in slice order (the canonical
-/// accumulation of `scan_transmitters`).
+/// accumulation of the scalar scan).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanFold {
     /// Sum of all gains, accumulated in slice order.
@@ -513,7 +513,7 @@ pub struct ScanFold {
 
 /// Folds a gain scratch buffer in slice order: `total += g` plus the
 /// first-strict-max winner rule, reproducing the canonical
-/// `scan_transmitters` accumulation add for add and compare for compare.
+/// scalar-scan accumulation add for add and compare for compare.
 #[inline]
 #[must_use]
 pub fn fold_scan(gains: &[f64]) -> ScanFold {

@@ -34,12 +34,8 @@
 //! All channels implement the sealed [`Channel`] trait and can be driven by
 //! the `fading-sim` simulator.
 //!
-//! For static deployments, [`GainCache`] precomputes the `n × n` pairwise
-//! gain matrix once and [`Channel::resolve_cached`] resolves rounds against
-//! it with results bit-identical to [`Channel::resolve`]; see the
-//! [`gain_cache`](GainCache) module docs for the exactness contract and
-//! the size guard. Beyond the cache, two far-field engines prune the
-//! per-round work under the same bit-exactness contract:
+//! Two far-field engines prune the per-round work while keeping every
+//! reception bit-identical to the exact scan:
 //! [`FarFieldEngine`] (flat tile-pair tables) and
 //! [`HierarchicalFarFieldEngine`] (a [`fading_geom::TileTree`] traversal
 //! with no quadratic precompute, parallelizable via [`ChunkExecutor`]).
@@ -85,7 +81,6 @@ mod error;
 mod exec;
 mod farfield;
 mod hierarchical;
-mod gain_cache;
 pub mod kernels;
 mod lossy;
 mod params;
@@ -107,12 +102,11 @@ pub use hierarchical::{
     HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_CHUNK, HIER_MAX_TILES_PER_SIDE,
     HIER_TARGET_TILE_OCCUPANCY,
 };
-pub use gain_cache::{ActiveInterference, GainCache, DEFAULT_MAX_CACHED_NODES};
 pub use lossy::LossySinrChannel;
 pub use params::{SinrParams, SinrParamsBuilder, DEFAULT_SINGLE_HOP_MARGIN};
 pub use perturbation::ChannelPerturbation;
 pub use radio::{RadioCdChannel, RadioChannel};
-pub use rayleigh::{RayleighSinrChannel, RAYLEIGH_CACHE_PROFITABLE_NODES};
+pub use rayleigh::RayleighSinrChannel;
 pub use reception::Reception;
 pub use sinr::{pow_alpha, SinrChannel};
 

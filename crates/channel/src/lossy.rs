@@ -7,8 +7,8 @@ use fading_geom::Point;
 
 use crate::channel::{sealed, Channel};
 use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, GainCache, HierarchicalFarFieldEngine,
-    NodeId, Reception, SinrBreakdown, SinrChannel, SinrParams,
+    ChannelPerturbation, ChunkExecutor, FarFieldEngine, HierarchicalFarFieldEngine, NodeId,
+    Reception, SinrBreakdown, SinrChannel, SinrParams,
 };
 
 /// A SINR channel in which every successfully decoded message is
@@ -78,6 +78,21 @@ impl LossySinrChannel {
     pub fn params(&self) -> &SinrParams {
         self.inner.params()
     }
+
+    /// The i.i.d. drop pass every resolve path ends with: each decoded
+    /// message is dropped with `drop_prob`, drawing from `rng` in listener
+    /// order after the inner SINR physics (which draw nothing), so every
+    /// path consumes the rng identically.
+    fn drop_messages(&self, mut receptions: Vec<Reception>, rng: &mut SmallRng) -> Vec<Reception> {
+        if self.drop_prob > 0.0 {
+            for r in &mut receptions {
+                if r.is_message() && rng.gen_bool(self.drop_prob) {
+                    *r = Reception::Silence;
+                }
+            }
+        }
+        receptions
+    }
 }
 
 impl sealed::Sealed for LossySinrChannel {}
@@ -90,38 +105,8 @@ impl Channel for LossySinrChannel {
         listeners: &[NodeId],
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        let mut receptions = self.inner.resolve(positions, transmitters, listeners, rng);
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
-    }
-
-    fn resolve_cached(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        // Reuse the inner SINR cached path; the drop pass afterwards draws
-        // from the rng in the same order as the uncached resolve.
-        let mut receptions = self
-            .inner
-            .resolve_cached(positions, transmitters, listeners, cache, rng);
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
+        let receptions = self.inner.resolve(positions, transmitters, listeners, rng);
+        self.drop_messages(receptions, rng)
     }
 
     fn resolve_perturbed(
@@ -129,24 +114,14 @@ impl Channel for LossySinrChannel {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        // The perturbation applies to the SINR physics; the i.i.d. drop
-        // pass afterwards draws from the rng in the same order as the
-        // clean resolve paths.
-        let mut receptions = self
-            .inner
-            .resolve_perturbed(positions, transmitters, listeners, cache, perturbation, rng);
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
+        // The perturbation applies to the SINR physics only.
+        let receptions =
+            self.inner
+                .resolve_perturbed(positions, transmitters, listeners, perturbation, rng);
+        self.drop_messages(receptions, rng)
     }
 
     fn resolve_instrumented(
@@ -154,33 +129,23 @@ impl Channel for LossySinrChannel {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
         breakdown: &mut Vec<SinrBreakdown>,
     ) -> Vec<Reception> {
-        // The inner SINR physics produce the breakdowns; the i.i.d. drop
-        // pass afterwards draws from the rng in the same order as the
-        // uninstrumented paths. A dropped message keeps `decoded = true` in
-        // its breakdown — the SINR test passed; the loss layer is a
-        // separate, post-SINR effect (see `SinrBreakdown`).
-        let mut receptions = self.inner.resolve_instrumented(
+        // The inner SINR physics produce the breakdowns. A dropped message
+        // keeps `decoded = true` in its breakdown — the SINR test passed;
+        // the loss layer is a separate, post-SINR effect (see
+        // `SinrBreakdown`).
+        let receptions = self.inner.resolve_instrumented(
             positions,
             transmitters,
             listeners,
-            cache,
             perturbation,
             rng,
             breakdown,
         );
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
+        self.drop_messages(receptions, rng)
     }
 
     fn resolve_farfield(
@@ -192,10 +157,7 @@ impl Channel for LossySinrChannel {
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        // The inner SINR physics take the pruned path; the i.i.d. drop
-        // pass afterwards draws from the rng in the same order as the
-        // other resolve paths (the pruned resolve draws nothing).
-        let mut receptions = self.inner.resolve_farfield(
+        let receptions = self.inner.resolve_farfield(
             positions,
             transmitters,
             listeners,
@@ -203,14 +165,7 @@ impl Channel for LossySinrChannel {
             perturbation,
             rng,
         );
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
+        self.drop_messages(receptions, rng)
     }
 
     fn resolve_hierarchical(
@@ -223,11 +178,9 @@ impl Channel for LossySinrChannel {
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        // The inner SINR physics take the pruned path (drawing nothing
-        // from the rng, on any executor); the i.i.d. drop pass afterwards
-        // runs serially in listener order, drawing from the rng exactly as
-        // the other resolve paths do.
-        let mut receptions = self.inner.resolve_hierarchical(
+        // The pruned path draws nothing from the rng on any executor; the
+        // drop pass then runs serially in listener order.
+        let receptions = self.inner.resolve_hierarchical(
             positions,
             transmitters,
             listeners,
@@ -236,22 +189,11 @@ impl Channel for LossySinrChannel {
             perturbation,
             rng,
         );
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
+        self.drop_messages(receptions, rng)
     }
 
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         self.inner.interferer_gain(from, to, power)
-    }
-
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        self.inner.build_gain_cache(positions)
     }
 
     fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {

@@ -11,7 +11,7 @@
 //! Determinism contract: a [neutral](ChannelPerturbation::is_neutral)
 //! perturbation must be indistinguishable from no perturbation at all —
 //! [`Channel::resolve_perturbed`](crate::Channel::resolve_perturbed) falls
-//! back to [`Channel::resolve_cached`](crate::Channel::resolve_cached)
+//! back to [`Channel::resolve`](crate::Channel::resolve)
 //! outright, consuming the rng identically, so fault-capable simulations
 //! with an empty plan are byte-identical to plain ones.
 

@@ -8,21 +8,7 @@ use fading_geom::Point;
 use crate::channel::{sealed, Channel};
 use crate::kernels::{gain_batch, ScanScratch};
 use crate::sinr::pow_alpha;
-use crate::{ChannelPerturbation, GainCache, NodeId, Reception, SinrBreakdown, SinrParams};
-
-/// Largest deployment for which the Rayleigh channel keeps its gain cache.
-///
-/// Unlike the deterministic channel — where a cached row replaces a
-/// `pow_alpha` *and* the whole scan arithmetic — the Rayleigh resolve
-/// still draws a fade and multiplies per pair, so a cached row only saves
-/// the deterministic-gain recompute. Once the `n × n` matrix outgrows
-/// last-level cache the row reads become memory-bound and the "cache" is
-/// *slower* than recomputing gains with the batched kernels (measured at
-/// n = 4096: 43.1 ms cached vs 33.4 ms uncached per round). Cached and
-/// uncached results are bit-identical (the fade stream is independent of
-/// the cache), so bypassing the cache above this size never changes
-/// results — see [`Channel::gain_cache_profitable`].
-pub const RAYLEIGH_CACHE_PROFITABLE_NODES: usize = 1024;
+use crate::{ChannelPerturbation, NodeId, Reception, SinrBreakdown, SinrParams};
 
 /// A SINR channel with Rayleigh fading: every transmitter–listener power
 /// gain is multiplied by an independent `Exp(1)` coefficient, redrawn each
@@ -73,16 +59,14 @@ impl RayleighSinrChannel {
     /// Rayleigh counterpart of `SinrChannel::resolve_core`, with one
     /// `Exp(1)` fade drawn per (listener, transmitter) pair in loop order.
     /// Because the fade draws happen in the exact same sequence regardless
-    /// of `cache`, `perturbation`, or `breakdown`, every wrapper consumes
+    /// of `perturbation` or `breakdown`, every wrapper consumes
     /// the rng identically and the bit-exactness contracts hold by
     /// construction.
-    #[allow(clippy::too_many_arguments)] // the union of every wrapper's parameters
     fn resolve_core(
         &self,
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: Option<&ChannelPerturbation<'_>>,
         rng: &mut SmallRng,
         mut breakdown: Option<&mut Vec<SinrBreakdown>>,
@@ -94,40 +78,29 @@ impl RayleighSinrChannel {
             Some(pt) => self.params.noise() * pt.noise_scale(),
             None => self.params.noise(),
         };
-        // Uncached path: gather transmitter coordinates once and batch the
-        // deterministic gains per listener. The fades are still drawn one
-        // per pair inside the fold below — same order and count as the
-        // scalar loop — so the rng stream (and thus every result) is
-        // unchanged by the batching.
+        // Gather transmitter coordinates once and batch the deterministic
+        // gains per listener. The fades are still drawn one per pair inside
+        // the fold below — same order and count as the scalar loop — so the
+        // rng stream (and thus every result) is unchanged by the batching.
         let mut scratch = ScanScratch::new();
-        if cache.is_none() {
-            scratch.gather(positions, transmitters);
-        }
+        scratch.gather(positions, transmitters);
         let mut out = Vec::with_capacity(listeners.len());
         for &v in listeners {
-            let row = cache.map(|c| c.row(v));
             let vp = positions[v];
-            if row.is_none() {
-                scratch.gains.resize(transmitters.len(), 0.0);
-                gain_batch(p, alpha, &scratch.xs, &scratch.ys, vp.x, vp.y, &mut scratch.gains);
-            }
+            scratch.gains.resize(transmitters.len(), 0.0);
+            gain_batch(p, alpha, &scratch.xs, &scratch.ys, vp.x, vp.y, &mut scratch.gains);
             let mut total = 0.0;
             let mut best_sig = 0.0;
             let mut best_tx: Option<NodeId> = None;
             for (i, &u) in transmitters.iter().enumerate() {
                 debug_assert_ne!(u, v, "a node cannot transmit and listen simultaneously");
                 let fade = exp1(rng);
-                // Grouped as fade × (P/d^α) — the deterministic factor is
-                // exactly what GainCache stores (and what the batched
-                // kernel computes, bit-identically), so every path
-                // multiplies the same two numbers. Jammer power stays
+                // Grouped as fade × (P/d^α), the deterministic factor being
+                // exactly the scalar `P / pow_alpha(d², α)` (the batched
+                // kernel computes it bit-identically). Jammer power stays
                 // deterministic (no fading on jammer links): the adversary
                 // transmits wideband interference, not a decodable signal.
-                let det = match row {
-                    Some(r) => r[u],
-                    None => scratch.gains[i],
-                };
-                let sig = fade * det;
+                let sig = fade * scratch.gains[i];
                 total += sig;
                 if sig > best_sig {
                     best_sig = sig;
@@ -180,19 +153,7 @@ impl Channel for RayleighSinrChannel {
         listeners: &[NodeId],
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        self.resolve_core(positions, transmitters, listeners, None, None, rng, None)
-    }
-
-    fn resolve_cached(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(positions, transmitters, listeners, cache, None, rng, None)
+        self.resolve_core(positions, transmitters, listeners, None, rng, None)
     }
 
     fn resolve_perturbed(
@@ -200,23 +161,11 @@ impl Channel for RayleighSinrChannel {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        if perturbation.is_neutral() {
-            return self.resolve_cached(positions, transmitters, listeners, cache, rng);
-        }
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(
-            positions,
-            transmitters,
-            listeners,
-            cache,
-            Some(perturbation),
-            rng,
-            None,
-        )
+        let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
+        self.resolve_core(positions, transmitters, listeners, perturbation, rng, None)
     }
 
     fn resolve_instrumented(
@@ -224,19 +173,16 @@ impl Channel for RayleighSinrChannel {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
         rng: &mut SmallRng,
         breakdown: &mut Vec<SinrBreakdown>,
     ) -> Vec<Reception> {
         breakdown.clear();
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
         let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
         self.resolve_core(
             positions,
             transmitters,
             listeners,
-            cache,
             perturbation,
             rng,
             Some(breakdown),
@@ -245,17 +191,6 @@ impl Channel for RayleighSinrChannel {
 
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         power / pow_alpha(from.distance_sq(to), self.params.alpha())
-    }
-
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        GainCache::build(positions, &self.params)
-    }
-
-    fn gain_cache_profitable(&self, n: usize) -> bool {
-        // See `RAYLEIGH_CACHE_PROFITABLE_NODES`: past LLC the cached rows
-        // are memory-bound and lose to recomputing gains with the batched
-        // kernels. Bit-identical either way, so this is pure policy.
-        n <= RAYLEIGH_CACHE_PROFITABLE_NODES
     }
 
     // No `build_farfield_engine` or `build_hierarchical_engine` override:

@@ -7,8 +7,8 @@ use fading_geom::Point;
 use crate::channel::{sealed, Channel};
 use crate::kernels::{fold_scan, gain_batch, scan_block, ScanFold, ScanScratch, LISTENER_BLOCK};
 use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, GainCache, HierarchicalFarFieldEngine,
-    NodeId, Reception, SinrBreakdown, SinrParams,
+    ChannelPerturbation, ChunkExecutor, FarFieldEngine, HierarchicalFarFieldEngine, NodeId,
+    Reception, SinrBreakdown, SinrParams,
 };
 
 /// Computes `d^alpha` given the *squared* distance `d_sq = d²`.
@@ -53,55 +53,19 @@ pub(crate) struct ScanOutcome {
     pub(crate) best_tx: Option<NodeId>,
 }
 
-/// The canonical per-listener accumulation loop.
-///
-/// Every exact resolve path — and the far-field engine's exact fallback —
-/// funnels through this one function, so the bit-exactness contracts
-/// between them hold by construction: signals are folded in `transmitters`
-/// slice order, and the winner is the first transmitter to strictly exceed
-/// all earlier signals (ties keep the earlier one).
-#[inline]
-pub(crate) fn scan_transmitters(
-    p: f64,
-    alpha: f64,
-    positions: &[Point],
-    row: Option<&[f64]>,
-    v: NodeId,
-    vp: Point,
-    transmitters: &[NodeId],
-) -> ScanOutcome {
-    let mut total = 0.0;
-    let mut best_sig = 0.0;
-    let mut best_tx: Option<NodeId> = None;
-    for &u in transmitters {
-        debug_assert_ne!(u, v, "a node cannot transmit and listen simultaneously");
-        let sig = match row {
-            Some(r) => r[u],
-            None => p / pow_alpha(positions[u].distance_sq(vp), alpha),
-        };
-        total += sig;
-        if sig > best_sig {
-            best_sig = sig;
-            best_tx = Some(u);
-        }
-    }
-    ScanOutcome {
-        total,
-        best_sig,
-        best_tx,
-    }
-}
-
-/// The batched counterpart of [`scan_transmitters`] for the geometry
-/// (uncached) path: one fused SoA gain batch into `scratch.gains`, then a
-/// slice-order fold.
+/// The canonical per-listener scan: one fused SoA gain batch into
+/// `scratch.gains`, then a slice-order fold. The exact resolve paths and
+/// the far-field engines' exact fallbacks all funnel through this fold:
+/// signals are summed in `transmitters` slice order, and the winner is the
+/// first transmitter to strictly exceed all earlier signals (ties keep the
+/// earlier one).
 ///
 /// `scratch.xs`/`scratch.ys` must already hold the transmitters'
 /// coordinates in `transmitters` slice order
 /// ([`ScanScratch::gather`] — done once per round, not per listener).
-/// Bit-identical to the scalar scan: each gain is the same expression
-/// ([`gain_batch`]), and [`fold_scan`] reproduces the canonical
-/// accumulation order and first-strict-max winner rule
+/// Bit-identical to the scalar fold of `P / pow_alpha(d², α)`: each gain
+/// is the same expression ([`gain_batch`]), and [`fold_scan`] reproduces
+/// the canonical accumulation order and first-strict-max winner rule
 /// (`tests/kernels.rs` pins the equivalence, tie-breaks included).
 #[inline]
 pub(crate) fn scan_transmitters_batched(
@@ -232,14 +196,11 @@ impl SinrChannel {
 
     /// The single resolve loop every public path funnels through.
     ///
-    /// All four trait entry points (`resolve`, `resolve_cached`,
-    /// `resolve_perturbed`, `resolve_instrumented`) are thin wrappers over
-    /// this function, so their bit-exactness contracts hold *by
-    /// construction* rather than by keeping parallel loops in sync:
+    /// All three exact trait entry points (`resolve`, `resolve_perturbed`,
+    /// `resolve_instrumented`) are thin wrappers over this function, so
+    /// their bit-exactness contracts hold *by construction* rather than by
+    /// keeping parallel loops in sync:
     ///
-    /// * `cache` must already be validated against `positions` (`None`
-    ///   recomputes gains from geometry); cached and uncached differ only
-    ///   in where `sig` is read from, with identical accumulation order.
     /// * `perturbation = None` uses the clean denominator grouping
     ///   `noise + (total - best_sig)`; `Some` uses the perturbed grouping
     ///   `scaled_noise + extra + (total - best_sig)`. Callers map neutral
@@ -252,7 +213,6 @@ impl SinrChannel {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: Option<&ChannelPerturbation<'_>>,
         mut breakdown: Option<&mut Vec<SinrBreakdown>>,
     ) -> Vec<Reception> {
@@ -301,62 +261,47 @@ impl SinrChannel {
             }
             out.push(reception);
         };
-        match cache {
-            // Cached rounds are table lookups — the batch kernels have
-            // nothing to compute there, so the scalar row scan stands.
-            Some(c) => {
-                for &v in listeners {
-                    let row = Some(c.row(v));
-                    let outcome =
-                        scan_transmitters(p, alpha, positions, row, v, positions[v], transmitters);
+        // Listeners are scanned through the batched SoA kernels: the
+        // transmitters' coordinates are gathered once per round, then
+        // listeners are scanned in blocks through the fused `scan_block`
+        // kernel — one pass computing gains and folds for LISTENER_BLOCK
+        // listeners at once, each lane bit-identical to the scalar scan (see
+        // kernels module docs). The tail block falls back to the
+        // per-listener batch + fold, which is the same arithmetic.
+        let mut scratch = ScanScratch::new();
+        scratch.gather(positions, transmitters);
+        for block in listeners.chunks(LISTENER_BLOCK) {
+            if block.len() == LISTENER_BLOCK {
+                let mut vx = [0.0; LISTENER_BLOCK];
+                let mut vy = [0.0; LISTENER_BLOCK];
+                for (j, &v) in block.iter().enumerate() {
+                    debug_assert!(
+                        transmitters.iter().all(|&u| u != v),
+                        "a node cannot transmit and listen simultaneously"
+                    );
+                    vx[j] = positions[v].x;
+                    vy[j] = positions[v].y;
+                }
+                let folds = scan_block(p, alpha, &scratch.xs, &scratch.ys, &vx, &vy);
+                for (&v, fold) in block.iter().zip(folds) {
+                    let outcome = ScanOutcome {
+                        total: fold.total,
+                        best_sig: fold.best_sig,
+                        best_tx: fold.best_idx.map(|i| transmitters[i]),
+                    };
                     finish(v, outcome, &mut out, &mut breakdown);
                 }
-            }
-            // Uncached rounds recompute every gain from geometry, so they
-            // run through the batched SoA kernels: the transmitters'
-            // coordinates are gathered once per round, then listeners are
-            // scanned in blocks through the fused `scan_block` kernel — one
-            // pass computing gains and folds for LISTENER_BLOCK listeners
-            // at once, each lane bit-identical to the scalar scan (see
-            // kernels module docs). The tail block falls back to the
-            // per-listener batch + fold, which is the same arithmetic.
-            None => {
-                let mut scratch = ScanScratch::new();
-                scratch.gather(positions, transmitters);
-                for block in listeners.chunks(LISTENER_BLOCK) {
-                    if block.len() == LISTENER_BLOCK {
-                        let mut vx = [0.0; LISTENER_BLOCK];
-                        let mut vy = [0.0; LISTENER_BLOCK];
-                        for (j, &v) in block.iter().enumerate() {
-                            debug_assert!(
-                                transmitters.iter().all(|&u| u != v),
-                                "a node cannot transmit and listen simultaneously"
-                            );
-                            vx[j] = positions[v].x;
-                            vy[j] = positions[v].y;
-                        }
-                        let folds = scan_block(p, alpha, &scratch.xs, &scratch.ys, &vx, &vy);
-                        for (&v, fold) in block.iter().zip(folds) {
-                            let outcome = ScanOutcome {
-                                total: fold.total,
-                                best_sig: fold.best_sig,
-                                best_tx: fold.best_idx.map(|i| transmitters[i]),
-                            };
-                            finish(v, outcome, &mut out, &mut breakdown);
-                        }
-                    } else {
-                        for &v in block {
-                            let outcome = scan_transmitters_batched(
-                                p,
-                                alpha,
-                                v,
-                                positions[v],
-                                transmitters,
-                                &mut scratch,
-                            );
-                            finish(v, outcome, &mut out, &mut breakdown);
-                        }
-                    }
+            } else {
+                for &v in block {
+                    let outcome = scan_transmitters_batched(
+                        p,
+                        alpha,
+                        v,
+                        positions[v],
+                        transmitters,
+                        &mut scratch,
+                    );
+                    finish(v, outcome, &mut out, &mut breakdown);
                 }
             }
         }
@@ -374,19 +319,7 @@ impl Channel for SinrChannel {
         listeners: &[NodeId],
         _rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        self.resolve_core(positions, transmitters, listeners, None, None, None)
-    }
-
-    fn resolve_cached(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        cache: Option<&GainCache>,
-        _rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(positions, transmitters, listeners, cache, None, None)
+        self.resolve_core(positions, transmitters, listeners, None, None)
     }
 
     fn resolve_perturbed(
@@ -394,15 +327,12 @@ impl Channel for SinrChannel {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
+        _rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        if perturbation.is_neutral() {
-            return self.resolve_cached(positions, transmitters, listeners, cache, rng);
-        }
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
-        self.resolve_core(positions, transmitters, listeners, cache, Some(perturbation), None)
+        // A neutral perturbation routes to the clean denominator grouping.
+        let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
+        self.resolve_core(positions, transmitters, listeners, perturbation, None)
     }
 
     fn resolve_instrumented(
@@ -410,13 +340,11 @@ impl Channel for SinrChannel {
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
-        cache: Option<&GainCache>,
         perturbation: &ChannelPerturbation<'_>,
         _rng: &mut SmallRng,
         breakdown: &mut Vec<SinrBreakdown>,
     ) -> Vec<Reception> {
         breakdown.clear();
-        let cache = cache.filter(|c| c.matches(positions, &self.params));
         // A neutral perturbation routes to the clean denominator grouping,
         // exactly as the uninstrumented dispatch does.
         let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
@@ -424,7 +352,6 @@ impl Channel for SinrChannel {
             positions,
             transmitters,
             listeners,
-            cache,
             perturbation,
             Some(breakdown),
         )
@@ -447,7 +374,7 @@ impl Channel for SinrChannel {
                 e.resolve_sinr(&self.params, positions, transmitters, listeners, perturbation)
             }
             None => {
-                self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
+                self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
             }
         }
     }
@@ -477,17 +404,13 @@ impl Channel for SinrChannel {
                 )
             }
             None => {
-                self.resolve_perturbed(positions, transmitters, listeners, None, perturbation, rng)
+                self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
             }
         }
     }
 
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         power / pow_alpha(from.distance_sq(to), self.params.alpha())
-    }
-
-    fn build_gain_cache(&self, positions: &[Point]) -> Option<GainCache> {
-        GainCache::build(positions, &self.params)
     }
 
     fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {

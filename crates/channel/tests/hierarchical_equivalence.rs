@@ -158,7 +158,7 @@ fn assert_hierarchical_equiv<C: Channel>(
     // noise-scale + jammer perturbation.
     let mut rng_exact = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
     let mut rng_fast = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let exact = ch.resolve_perturbed(positions, tx, ls, None, perturbation, &mut rng_exact);
+    let exact = ch.resolve_perturbed(positions, tx, ls, perturbation, &mut rng_exact);
     let fast = ch.resolve_hierarchical(
         positions,
         tx,

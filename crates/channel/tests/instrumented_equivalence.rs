@@ -1,8 +1,8 @@
 //! Instrumented/uninstrumented equivalence oracle.
 //!
 //! The contract under test ([`Channel::resolve_instrumented`]) is that
-//! instrumentation is a pure observer: for every channel, perturbation,
-//! and cache setting, the instrumented path returns a `Reception` vector
+//! instrumentation is a pure observer: for every channel and
+//! perturbation, the instrumented path returns a `Reception` vector
 //! **bit-identical** to [`Channel::resolve_perturbed`] on the same inputs
 //! while consuming the rng identically, and the reported
 //! [`SinrBreakdown`]s are internally consistent with the decisions
@@ -55,8 +55,8 @@ fn params() -> SinrParams {
 }
 
 /// Asserts the instrumented path matches `resolve_perturbed` bit for bit
-/// (receptions and final rng state) under both cache settings, and sanity
-/// checks the breakdowns when the channel reports them.
+/// (receptions and final rng state), and sanity checks the breakdowns
+/// when the channel reports them.
 fn assert_instrumented_equiv<C: Channel>(
     ch: &C,
     positions: &[Point],
@@ -66,72 +66,67 @@ fn assert_instrumented_equiv<C: Channel>(
     seed: u64,
     expect_breakdowns: bool,
 ) {
-    let cache = ch.build_gain_cache(positions);
-    for use_cache in [false, true] {
-        let cache = if use_cache { cache.as_ref() } else { None };
-        let mut rng_plain = SmallRng::seed_from_u64(seed);
-        let mut rng_inst = SmallRng::seed_from_u64(seed);
-        let plain = ch.resolve_perturbed(positions, tx, ls, cache, perturbation, &mut rng_plain);
-        let mut breakdown: Vec<SinrBreakdown> = vec![SinrBreakdown {
-            listener: usize::MAX,
-            best_tx: None,
-            signal: -1.0,
-            interference: -1.0,
-            noise: -1.0,
-            extra: -1.0,
-            margin: -1.0,
-            decoded: false,
-        }];
-        let inst = ch.resolve_instrumented(
-            positions,
-            tx,
-            ls,
-            cache,
-            perturbation,
-            &mut rng_inst,
-            &mut breakdown,
-        );
-        assert_eq!(
-            plain,
-            inst,
-            "instrumented receptions diverged ({}, cache={use_cache}, seed={seed})",
-            ch.name()
-        );
-        assert_eq!(
-            rng_plain.gen::<u64>(),
-            rng_inst.gen::<u64>(),
-            "rng streams diverged ({}, cache={use_cache})",
-            ch.name()
-        );
-        if expect_breakdowns {
-            assert_eq!(breakdown.len(), ls.len(), "one breakdown per listener");
-            for (k, b) in breakdown.iter().enumerate() {
-                assert_eq!(b.listener, ls[k], "breakdowns follow listener order");
-                assert_eq!(
-                    b.decoded,
-                    b.margin >= 0.0,
-                    "decoded flag must mirror the margin sign ({b:?})"
-                );
-                assert!(
-                    b.signal >= 0.0 && b.interference >= 0.0 && b.extra >= 0.0,
-                    "power terms must be non-negative ({b:?})"
-                );
-                // A decoded breakdown must coincide with a Message from its
-                // best transmitter — except on the lossy channel, whose
-                // post-SINR drop pass may erase it.
-                if b.decoded && ch.name() != "lossy-sinr" {
-                    assert_eq!(inst[k], Reception::Message { from: b.best_tx.unwrap() });
-                }
-                if !b.decoded {
-                    assert_eq!(inst[k], Reception::Silence);
-                }
-            }
-        } else {
-            assert!(
-                breakdown.is_empty(),
-                "geometry-free channels must clear and not fill breakdowns"
+    let mut rng_plain = SmallRng::seed_from_u64(seed);
+    let mut rng_inst = SmallRng::seed_from_u64(seed);
+    let plain = ch.resolve_perturbed(positions, tx, ls, perturbation, &mut rng_plain);
+    let mut breakdown: Vec<SinrBreakdown> = vec![SinrBreakdown {
+        listener: usize::MAX,
+        best_tx: None,
+        signal: -1.0,
+        interference: -1.0,
+        noise: -1.0,
+        extra: -1.0,
+        margin: -1.0,
+        decoded: false,
+    }];
+    let inst = ch.resolve_instrumented(
+        positions,
+        tx,
+        ls,
+        perturbation,
+        &mut rng_inst,
+        &mut breakdown,
+    );
+    assert_eq!(
+        plain,
+        inst,
+        "instrumented receptions diverged ({}, seed={seed})",
+        ch.name()
+    );
+    assert_eq!(
+        rng_plain.gen::<u64>(),
+        rng_inst.gen::<u64>(),
+        "rng streams diverged ({})",
+        ch.name()
+    );
+    if expect_breakdowns {
+        assert_eq!(breakdown.len(), ls.len(), "one breakdown per listener");
+        for (k, b) in breakdown.iter().enumerate() {
+            assert_eq!(b.listener, ls[k], "breakdowns follow listener order");
+            assert_eq!(
+                b.decoded,
+                b.margin >= 0.0,
+                "decoded flag must mirror the margin sign ({b:?})"
             );
+            assert!(
+                b.signal >= 0.0 && b.interference >= 0.0 && b.extra >= 0.0,
+                "power terms must be non-negative ({b:?})"
+            );
+            // A decoded breakdown must coincide with a Message from its
+            // best transmitter — except on the lossy channel, whose
+            // post-SINR drop pass may erase it.
+            if b.decoded && ch.name() != "lossy-sinr" {
+                assert_eq!(inst[k], Reception::Message { from: b.best_tx.unwrap() });
+            }
+            if !b.decoded {
+                assert_eq!(inst[k], Reception::Silence);
+            }
         }
+    } else {
+        assert!(
+            breakdown.is_empty(),
+            "geometry-free channels must clear and not fill breakdowns"
+        );
     }
 }
 
@@ -221,7 +216,6 @@ fn breakdown_terms_recompose_equation_one() {
         &pos,
         &[1, 2],
         &[0],
-        None,
         &ChannelPerturbation::neutral(),
         &mut rng,
         &mut breakdown,
@@ -252,7 +246,6 @@ fn jammed_breakdown_includes_extra_term() {
         &pos,
         &[1],
         &[0],
-        None,
         &ChannelPerturbation::new(3.0, &jam),
         &mut rng,
         &mut breakdown,

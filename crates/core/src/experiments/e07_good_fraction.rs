@@ -69,7 +69,6 @@ fn dominant_pair_decode_fraction(d: &Deployment, dom_pairs: usize, loaded: usize
         d.points(),
         &transmitters,
         &listeners,
-        None,
         &ChannelPerturbation::neutral(),
         &mut rng,
         &mut breakdown,

@@ -14,8 +14,6 @@ use crate::Table;
 enum Tier {
     /// No acceleration: the O(listeners × transmitters) exact scan.
     Exact,
-    /// Gain-cache engine (precomputed pairwise gains, incremental totals).
-    GainCache,
     /// Far-field engine (tile-aggregated interference bounds).
     FarField,
 }
@@ -24,37 +22,22 @@ impl Tier {
     fn label(self) -> &'static str {
         match self {
             Tier::Exact => "exact",
-            Tier::GainCache => "gain-cache",
             Tier::FarField => "farfield",
         }
     }
 
     fn pin(self, sim: &mut Simulation) {
-        match self {
-            Tier::Exact => {
-                sim.set_gain_cache_enabled(false);
-                sim.set_farfield_enabled(false);
-            }
-            Tier::GainCache => {
-                sim.set_gain_cache_enabled(true);
-                sim.set_farfield_enabled(false);
-            }
-            Tier::FarField => {
-                sim.set_gain_cache_enabled(false);
-                sim.set_farfield_enabled(true);
-            }
-        }
+        sim.set_farfield_enabled(self == Tier::FarField);
     }
 }
 
-/// Largest `n` at which the quadratic tiers (exact scan, gain cache) are
-/// still run: the gain cache refuses to build above this size, and the
-/// exact scan's full-protocol runs stop being affordable.
+/// Largest `n` at which the quadratic exact scan is still run: past it
+/// the exact scan's full-protocol runs stop being affordable.
 const QUADRATIC_TIER_CEILING: usize = 4096;
 
 fn tiers_for(n: usize) -> Vec<Tier> {
     if n <= QUADRATIC_TIER_CEILING {
-        vec![Tier::Exact, Tier::GainCache, Tier::FarField]
+        vec![Tier::Exact, Tier::FarField]
     } else {
         vec![Tier::FarField]
     }
@@ -90,12 +73,12 @@ fn run_tier(
     (resolved, total_rounds, wall)
 }
 
-/// E14: wall-clock cost per round of the three resolve tiers as `n` grows.
+/// E14: wall-clock cost per round of the exact and far-field resolve
+/// tiers as `n` grows.
 ///
 /// **Claim:** the far-field tier breaks the quadratic per-round wall — its
 /// per-round cost grows sub-quadratically, letting full FKN runs complete
-/// at `n = 65536` where neither the exact scan nor the gain cache (which
-/// refuses to build above `n = 4096`) is usable. Exactness is not traded
+/// at `n = 65536` where the exact scan is not usable. Exactness is not traded
 /// away: the table re-verifies, at the largest quadratic-tier size, that a
 /// far-field run is byte-identical to an exact run.
 ///
@@ -143,7 +126,6 @@ pub fn e14_engine_scaling(cfg: &ExperimentConfig) -> Table {
                 match tier {
                     Tier::Exact => exact_ms_per_round = Some(ms_per_round),
                     Tier::FarField => farfield_ms_per_round = Some(ms_per_round),
-                    Tier::GainCache => {}
                 }
             }
             table.row([
@@ -190,8 +172,7 @@ pub fn e14_engine_scaling(cfg: &ExperimentConfig) -> Table {
         ));
     }
     table.note(format!(
-        "exact and gain-cache tiers run only for n <= {QUADRATIC_TIER_CEILING} \
-         (the cache refuses larger deployments; the exact scan is quadratic)"
+        "the exact tier runs only for n <= {QUADRATIC_TIER_CEILING} (the exact scan is quadratic)"
     ));
     table
 }
@@ -205,8 +186,8 @@ mod tests {
         let mut cfg = ExperimentConfig::smoke();
         cfg.trials = 2;
         let t = e14_engine_scaling(&cfg);
-        // Smoke ceiling is 2^(7+4): the single sweep size 1024, three tiers.
-        assert_eq!(t.num_rows(), 3);
+        // Smoke ceiling is 2^(7+4): the single sweep size 1024, two tiers.
+        assert_eq!(t.num_rows(), 2);
         for row in t.rows() {
             assert_eq!(row[0], "1024");
             assert_eq!(
@@ -216,7 +197,7 @@ mod tests {
             );
         }
         let tiers: Vec<&str> = t.rows().iter().map(|r| r[1].as_str()).collect();
-        assert_eq!(tiers, ["exact", "gain-cache", "farfield"]);
+        assert_eq!(tiers, ["exact", "farfield"]);
         assert!(
             t.notes().iter().any(|n| n.contains("byte-identical")),
             "cross-check note missing: {:?}",
@@ -231,7 +212,7 @@ mod tests {
         cfg.trials = 2;
         let t = e14_engine_scaling(&cfg);
         // Ceiling 2^9 admits no sweep point: fall back to n = 32.
-        assert_eq!(t.num_rows(), 3);
+        assert_eq!(t.num_rows(), 2);
         for row in t.rows() {
             assert_eq!(row[0], "32");
         }

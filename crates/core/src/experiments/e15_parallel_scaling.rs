@@ -32,7 +32,6 @@ impl Tier {
     }
 
     fn pin(self, sim: &mut Simulation) {
-        sim.set_gain_cache_enabled(false);
         match self {
             Tier::Exact => {
                 sim.set_farfield_enabled(false);

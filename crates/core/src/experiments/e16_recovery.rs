@@ -121,7 +121,8 @@ pub fn e16_recovery(cfg: &ExperimentConfig) -> Table {
         yes_no(resume_exact && already == first),
     ]);
 
-    // Stage 3: self-check demotion. A clean reference run vs one with an
+    // Stage 3: self-check demotion. A clean reference run (exact tier, the
+    // default at this size) vs one forced onto the far-field tier with an
     // injected violation: the tier is demoted, nothing panics, and the
     // result is still exact.
     let seed = seed_base;
@@ -131,6 +132,7 @@ pub fn e16_recovery(cfg: &ExperimentConfig) -> Table {
     let mut clean_sim = Simulation::new(d.clone(), sinr_for(&d).build(), seed, |id| pk.build(id));
     let clean = clean_sim.run_until_resolved(cfg.max_rounds);
     let mut sim = Simulation::new(d, ch, seed, |id| pk.build(id));
+    sim.set_farfield_enabled(true);
     sim.set_self_check(2);
     sim.inject_self_check_violation();
     let checked = sim.run_until_resolved(cfg.max_rounds);

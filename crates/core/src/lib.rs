@@ -86,9 +86,9 @@ pub mod prelude {
     pub use crate::table::Table;
     pub use fading_analysis::{ClassBoundSchedule, GoodNodes, LinkClasses, ScheduleParams};
     pub use fading_channel::{
-        ActiveInterference, Channel, ChunkExecutor, FarFieldEngine, FarFieldStats, GainCache,
-        HierarchicalFarFieldEngine, RadioCdChannel, RadioChannel, RayleighSinrChannel, Reception,
-        SerialExecutor, SinrChannel, SinrParams,
+        Channel, ChunkExecutor, FarFieldEngine, FarFieldStats, HierarchicalFarFieldEngine,
+        RadioCdChannel, RadioChannel, RayleighSinrChannel, Reception, SerialExecutor, SinrChannel,
+        SinrParams,
     };
     pub use fading_geom::{generators, Deployment, Point};
     pub use fading_hitting::{
@@ -101,7 +101,7 @@ pub mod prelude {
     };
     pub use fading_sim::{
         faults, montecarlo, Action, FaultPlan, Protocol, RunOutcome, RunResult, SimError,
-        Simulation, StealPool, TraceLevel, HIERARCHICAL_AUTO_THRESHOLD,
+        Simulation, StealPool, TraceLevel, FARFIELD_AUTO_THRESHOLD, HIERARCHICAL_AUTO_THRESHOLD,
     };
 }
 

@@ -325,6 +325,30 @@ mod tests {
         assert_eq!(batch[0].resolved_at(), r.resolved_at());
     }
 
+    /// Only the engine that serves is built: up to
+    /// `FARFIELD_AUTO_THRESHOLD` nodes the exact scan serves FKN/SINR
+    /// trials, so neither far-field engine exists before or after a full
+    /// run.
+    #[test]
+    fn sinr_scenario_at_the_exact_tier_ceiling_builds_no_engine() {
+        let d = Deployment::uniform_density(fading_sim::FARFIELD_AUTO_THRESHOLD, 0.25, 7);
+        let params = SinrParams::default_single_hop().with_power_for(&d);
+        let s = Scenario::builder()
+            .deployment(d)
+            .sinr(params)
+            .protocol(ProtocolKind::fkn_default())
+            .seed(1)
+            .build()
+            .unwrap();
+        let mut sim = s.simulation();
+        assert!(sim.farfield_engine().is_none());
+        assert!(sim.hierarchical_engine().is_none());
+        assert!(sim.run_until_resolved(10_000).resolved());
+        assert!(sim.farfield_engine().is_none());
+        assert!(sim.hierarchical_engine().is_none());
+        assert_eq!(sim.engine_counters().exact_rounds, sim.round());
+    }
+
     #[test]
     fn trace_level_propagates() {
         let s = Scenario::builder()

@@ -96,7 +96,7 @@ fn demo_lines() -> Vec<String> {
         "{\"event\":\"frame\",\"t_ms\":500,\"dt_ms\":250,\"d_trials\":5,\"d_trial_rounds\":180,\
          \"d_retried\":1,\"d_timed_out\":1,\"d_jobs_completed\":0,\"d_jobs_failed\":0,\
          \"d_engine_rounds\":180,\"d_farfield_rounds\":150,\"d_hierarchical_rounds\":0,\
-         \"d_gain_cache_rounds\":20,\"d_exact_rounds\":10,\"d_instrumented_rounds\":0,\
+         \"d_exact_rounds\":30,\"d_instrumented_rounds\":0,\
          \"d_jammed_rounds\":0,\"d_fallback_listeners\":4,\"d_resolved_listeners\":96,\
          \"queue_depth\":2,\"jobs_in_flight\":2}"
             .to_string(),

@@ -229,10 +229,9 @@ impl Dashboard {
 
         // Tier mix from the newest frame's engine-round deltas.
         if let Some(f) = latest {
-            let tiers: [(&str, u64); 5] = [
+            let tiers: [(&str, u64); 4] = [
                 ("far", f.d_farfield_rounds),
                 ("hier", f.d_hierarchical_rounds),
-                ("cache", f.d_gain_cache_rounds),
                 ("exact", f.d_exact_rounds),
                 ("instr", f.d_instrumented_rounds),
             ];

@@ -25,7 +25,7 @@
 //! an explicit event list, and the Gilbert–Elliott chain draws from a
 //! dedicated [`fault_rng`](crate::fault_rng) lane. Attaching an *empty* plan
 //! is therefore byte-identical to attaching no plan at all, and every
-//! faulted run is reproducible across thread counts and gain-cache settings.
+//! faulted run is reproducible across thread counts and engine tiers.
 //!
 //! # Example
 //!

@@ -5,13 +5,12 @@ use fading_channel::FarFieldStats;
 /// Which resolve tier served one round's channel resolution.
 ///
 /// The step loop picks the path per round (see DESIGN.md §10's tier
-/// table): the hierarchical engine above the flat engine's comfort zone,
-/// the far-field engine when enabled and no SINR detail is wanted, the
-/// instrumented scan when a sink asked for SINR breakdowns, the gain
-/// cache when built and enabled, the exact scan otherwise. The choice
-/// never changes receptions — all five paths are bit-identical by
-/// contract — so recording it in [`RoundEvent`] is observability, not
-/// behavior.
+/// table): the instrumented scan when a sink asked for SINR breakdowns,
+/// otherwise the hierarchical engine above the flat engine's comfort
+/// zone, the flat far-field engine when enabled, the exact scan
+/// otherwise. The choice never changes receptions — all four paths are
+/// bit-identical by contract — so recording it in [`RoundEvent`] is
+/// observability, not behavior.
 ///
 /// [`RoundEvent`]: crate::telemetry::RoundEvent
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -19,8 +18,6 @@ pub enum ResolvePath {
     /// Canonical O(listeners × transmitters) scan.
     #[default]
     Exact,
-    /// Gain-cache tier (precomputed pairwise gains).
-    Cached,
     /// Tile-aggregated far-field engine.
     FarField,
     /// Multi-resolution tile-tree far-field engine (parallelizable).
@@ -31,9 +28,8 @@ pub enum ResolvePath {
 
 impl ResolvePath {
     /// Every path, in tier order.
-    pub const ALL: [ResolvePath; 5] = [
+    pub const ALL: [ResolvePath; 4] = [
         ResolvePath::Exact,
-        ResolvePath::Cached,
         ResolvePath::FarField,
         ResolvePath::Hierarchical,
         ResolvePath::Instrumented,
@@ -44,7 +40,6 @@ impl ResolvePath {
     pub fn name(self) -> &'static str {
         match self {
             ResolvePath::Exact => "exact",
-            ResolvePath::Cached => "gain_cache",
             ResolvePath::FarField => "farfield",
             ResolvePath::Hierarchical => "hierarchical",
             ResolvePath::Instrumented => "instrumented",
@@ -59,14 +54,13 @@ impl ResolvePath {
 }
 
 /// One unified view of every engine-level decision counter a simulation
-/// accumulates: per-path round routing, gain-cache activity, fault
-/// perturbation activity, and the far-field decision ladder's per-rung
+/// accumulates: per-path round routing, fault perturbation activity, and the far-field decision ladder's per-rung
 /// counters. Read it with
 /// [`Simulation::engine_counters`](crate::Simulation::engine_counters);
 /// serialize it with [`telemetry::jsonl::counters_to_json`] or
 /// [`obs::export::prometheus`](crate::obs::export::prometheus).
 ///
-/// Invariant (asserted in the equivalence/determinism suites): the five
+/// Invariant (asserted in the equivalence/determinism suites): the four
 /// `*_rounds` route counters sum to `rounds`, and
 /// `farfield.listeners_resolved()` equals the sum of the ladder's rung
 /// counters.
@@ -80,18 +74,10 @@ pub struct EngineCounters {
     pub farfield_rounds: u64,
     /// Rounds resolved by the hierarchical (tile-tree) far-field engine.
     pub hierarchical_rounds: u64,
-    /// Rounds resolved through the gain cache.
-    pub gain_cache_rounds: u64,
     /// Rounds resolved by the canonical exact scan.
     pub exact_rounds: u64,
     /// Rounds resolved through the instrumented (SINR-detail) scan.
     pub instrumented_rounds: u64,
-    /// Whether a gain cache was built for this deployment (size guard
-    /// admitted it and the channel has deterministic gains).
-    pub gain_cache_built: bool,
-    /// Rounds in which a built cache was bypassed (disabled by
-    /// `set_gain_cache_enabled(false)` or superseded by another path).
-    pub gain_cache_bypassed_rounds: u64,
     /// Rounds resolved under a non-neutral perturbation (jamming and/or
     /// noise scaling active).
     pub perturbed_rounds: u64,
@@ -113,7 +99,7 @@ pub struct EngineCounters {
     /// SINR intermediate), total.
     pub self_check_violations: u64,
     /// Engine-tier demotions triggered by self-check violations
-    /// (hierarchical → farfield → gain-cache → exact), total.
+    /// (hierarchical → farfield → exact), total.
     pub tier_demotions: u64,
     /// The per-rung decision-ladder counters, aggregated over **both**
     /// far-field engines (flat and hierarchical — they share the same
@@ -127,7 +113,6 @@ impl EngineCounters {
     pub fn routed_rounds(&self) -> u64 {
         self.farfield_rounds
             + self.hierarchical_rounds
-            + self.gain_cache_rounds
             + self.exact_rounds
             + self.instrumented_rounds
     }
@@ -137,7 +122,6 @@ impl EngineCounters {
     pub fn rounds_for(&self, path: ResolvePath) -> u64 {
         match path {
             ResolvePath::Exact => self.exact_rounds,
-            ResolvePath::Cached => self.gain_cache_rounds,
             ResolvePath::FarField => self.farfield_rounds,
             ResolvePath::Hierarchical => self.hierarchical_rounds,
             ResolvePath::Instrumented => self.instrumented_rounds,
@@ -145,16 +129,13 @@ impl EngineCounters {
     }
 
     /// Merges another simulation's counters into this one (montecarlo
-    /// aggregation). `gain_cache_built` ORs; everything else adds.
+    /// aggregation): every counter adds.
     pub fn merge(&mut self, other: &EngineCounters) {
         self.rounds += other.rounds;
         self.farfield_rounds += other.farfield_rounds;
         self.hierarchical_rounds += other.hierarchical_rounds;
-        self.gain_cache_rounds += other.gain_cache_rounds;
         self.exact_rounds += other.exact_rounds;
         self.instrumented_rounds += other.instrumented_rounds;
-        self.gain_cache_built |= other.gain_cache_built;
-        self.gain_cache_bypassed_rounds += other.gain_cache_bypassed_rounds;
         self.perturbed_rounds += other.perturbed_rounds;
         self.jammed_rounds += other.jammed_rounds;
         self.noise_scaled_rounds += other.noise_scaled_rounds;
@@ -194,8 +175,7 @@ mod tests {
             rounds: 15,
             farfield_rounds: 4,
             hierarchical_rounds: 5,
-            gain_cache_rounds: 3,
-            exact_rounds: 2,
+            exact_rounds: 5,
             instrumented_rounds: 1,
             ..EngineCounters::default()
         };
@@ -210,20 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_ladder_counters_and_ors_built() {
-        let mut a = EngineCounters {
-            gain_cache_built: false,
-            ..EngineCounters::default()
-        };
+    fn merge_adds_ladder_counters() {
+        let mut a = EngineCounters::default();
         a.farfield.bracket_decisions = 5;
-        let mut b = EngineCounters {
-            gain_cache_built: true,
-            ..EngineCounters::default()
-        };
+        let mut b = EngineCounters::default();
         b.farfield.bracket_decisions = 7;
         b.farfield.noise_floor_silences = 2;
         a.merge(&b);
-        assert!(a.gain_cache_built);
         assert_eq!(a.farfield.bracket_decisions, 12);
         assert_eq!(a.farfield.noise_floor_silences, 2);
     }

@@ -97,24 +97,7 @@ pub fn counters_to_prometheus(c: &EngineCounters) -> String {
         );
     }
 
-    header(
-        &mut out,
-        "fading_gain_cache_built",
-        "gauge",
-        "1 when a gain cache was built for this deployment",
-    );
-    sample_line(
-        &mut out,
-        "fading_gain_cache_built",
-        &[],
-        f64::from(u8::from(c.gain_cache_built)),
-    );
     for (name, help, v) in [
-        (
-            "fading_gain_cache_bypassed_rounds_total",
-            "Rounds that bypassed a built gain cache",
-            c.gain_cache_bypassed_rounds,
-        ),
         (
             "fading_perturbed_rounds_total",
             "Rounds under a non-neutral perturbation",
@@ -418,11 +401,8 @@ pub fn counters_from_prometheus(text: &str) -> Result<EngineCounters, ExportErro
         rounds: plain("fading_rounds_total")?,
         farfield_rounds: route(ResolvePath::FarField)?,
         hierarchical_rounds: route(ResolvePath::Hierarchical)?,
-        gain_cache_rounds: route(ResolvePath::Cached)?,
         exact_rounds: route(ResolvePath::Exact)?,
         instrumented_rounds: route(ResolvePath::Instrumented)?,
-        gain_cache_built: find_value(&s, "fading_gain_cache_built", &[])? != 0.0,
-        gain_cache_bypassed_rounds: plain("fading_gain_cache_bypassed_rounds_total")?,
         perturbed_rounds: plain("fading_perturbed_rounds_total")?,
         jammed_rounds: plain("fading_jammed_rounds_total")?,
         noise_scaled_rounds: plain("fading_noise_scaled_rounds_total")?,

@@ -11,8 +11,8 @@
 //!   allocates nothing. Attach to a run with
 //!   [`Simulation::set_tracer`](crate::Simulation::set_tracer).
 //! * [`EngineCounters`] — one struct unifying the far-field decision
-//!   ladder's per-rung counters ([`FarFieldStats`]), gain-cache activity,
-//!   and fault-perturbation activity, read via
+//!   ladder's per-rung counters ([`FarFieldStats`]), per-tier round
+//!   routing, and fault-perturbation activity, read via
 //!   [`Simulation::engine_counters`](crate::Simulation::engine_counters)
 //!   and exportable as JSONL through
 //!   [`telemetry::jsonl`](crate::telemetry::jsonl).

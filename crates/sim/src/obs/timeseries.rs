@@ -65,8 +65,6 @@ pub struct TsSample {
     pub farfield_rounds: u64,
     /// Rounds served by the hierarchical far-field engine.
     pub hierarchical_rounds: u64,
-    /// Rounds served through the gain cache.
-    pub gain_cache_rounds: u64,
     /// Rounds served by the exact scan.
     pub exact_rounds: u64,
     /// Rounds served by the instrumented scan.
@@ -99,7 +97,6 @@ impl TsSample {
         self.engine_rounds = c.rounds;
         self.farfield_rounds = c.farfield_rounds;
         self.hierarchical_rounds = c.hierarchical_rounds;
-        self.gain_cache_rounds = c.gain_cache_rounds;
         self.exact_rounds = c.exact_rounds;
         self.instrumented_rounds = c.instrumented_rounds;
         self.jammed_rounds = c.jammed_rounds;
@@ -136,8 +133,6 @@ pub struct TsFrame {
     pub d_farfield_rounds: u64,
     /// Hierarchical far-field rounds merged in this frame.
     pub d_hierarchical_rounds: u64,
-    /// Gain-cache rounds merged in this frame.
-    pub d_gain_cache_rounds: u64,
     /// Exact-scan rounds merged in this frame.
     pub d_exact_rounds: u64,
     /// Instrumented rounds merged in this frame.
@@ -170,7 +165,6 @@ impl TsFrame {
             d_hierarchical_rounds: next
                 .hierarchical_rounds
                 .saturating_sub(prev.hierarchical_rounds),
-            d_gain_cache_rounds: next.gain_cache_rounds.saturating_sub(prev.gain_cache_rounds),
             d_exact_rounds: next.exact_rounds.saturating_sub(prev.exact_rounds),
             d_instrumented_rounds: next
                 .instrumented_rounds
@@ -320,7 +314,7 @@ type FrameField = (&'static str, fn(&TsFrame) -> u64);
 
 /// All (key, value-accessor) pairs of a frame, in wire order. One table
 /// drives the writer, the parser, and keeps the round-trip test honest.
-const FRAME_FIELDS: [FrameField; 19] = [
+const FRAME_FIELDS: [FrameField; 18] = [
     ("t_ms", |f| f.t_ms),
     ("dt_ms", |f| f.dt_ms),
     ("d_trials", |f| f.d_trials),
@@ -332,7 +326,6 @@ const FRAME_FIELDS: [FrameField; 19] = [
     ("d_engine_rounds", |f| f.d_engine_rounds),
     ("d_farfield_rounds", |f| f.d_farfield_rounds),
     ("d_hierarchical_rounds", |f| f.d_hierarchical_rounds),
-    ("d_gain_cache_rounds", |f| f.d_gain_cache_rounds),
     ("d_exact_rounds", |f| f.d_exact_rounds),
     ("d_instrumented_rounds", |f| f.d_instrumented_rounds),
     ("d_jammed_rounds", |f| f.d_jammed_rounds),
@@ -355,7 +348,6 @@ fn set_frame_field(frame: &mut TsFrame, key: &str, value: u64) {
         "d_engine_rounds" => frame.d_engine_rounds = value,
         "d_farfield_rounds" => frame.d_farfield_rounds = value,
         "d_hierarchical_rounds" => frame.d_hierarchical_rounds = value,
-        "d_gain_cache_rounds" => frame.d_gain_cache_rounds = value,
         "d_exact_rounds" => frame.d_exact_rounds = value,
         "d_instrumented_rounds" => frame.d_instrumented_rounds = value,
         "d_jammed_rounds" => frame.d_jammed_rounds = value,
@@ -533,8 +525,7 @@ mod tests {
             rounds: 40,
             farfield_rounds: 10,
             hierarchical_rounds: 20,
-            gain_cache_rounds: 4,
-            exact_rounds: 5,
+            exact_rounds: 9,
             instrumented_rounds: 1,
             jammed_rounds: 7,
             ..EngineCounters::default()
@@ -564,6 +555,24 @@ mod tests {
         assert_eq!(frame_from_json(&with_extra).unwrap(), frame);
         assert!(frame_from_json("{\"t_ms\":1}").is_err());
         assert!(frame_from_json("nope").is_err());
+    }
+
+    #[test]
+    fn frame_from_json_reads_lines_that_still_carry_gain_cache_rounds() {
+        // Servers that predate the removal of the gain-cache tier write a
+        // `d_gain_cache_rounds` key; a newer reader (fading-top) ignores it.
+        let line = "{\"t_ms\":1000,\"dt_ms\":500,\"d_trials\":3,\"d_trial_rounds\":40,\
+                    \"d_retried\":0,\"d_timed_out\":0,\"d_jobs_completed\":0,\"d_jobs_failed\":0,\
+                    \"d_engine_rounds\":40,\"d_farfield_rounds\":30,\"d_hierarchical_rounds\":0,\
+                    \"d_gain_cache_rounds\":6,\"d_exact_rounds\":4,\"d_instrumented_rounds\":0,\
+                    \"d_jammed_rounds\":0,\"d_fallback_listeners\":2,\"d_resolved_listeners\":90,\
+                    \"queue_depth\":7,\"jobs_in_flight\":1}";
+        let frame = frame_from_json(line).unwrap();
+        assert_eq!(frame.d_engine_rounds, 40);
+        assert_eq!(frame.d_farfield_rounds, 30);
+        assert_eq!(frame.d_exact_rounds, 4);
+        assert_eq!(frame.queue_depth, 7);
+        assert!(!frame_to_json(&frame).contains("gain_cache"));
     }
 
     #[test]

@@ -26,7 +26,7 @@ const MAGIC: [u8; 4] = *b"FSNP";
 
 /// Current snapshot format version. Bumped on any layout change; older
 /// readers reject newer snapshots with [`SnapshotError::VersionMismatch`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be encoded, decoded, or restored.
 #[derive(Debug)]
@@ -136,7 +136,6 @@ pub struct SimSnapshot {
     pub(crate) trace_cap: u64,
     pub(crate) trace_truncated: bool,
     pub(crate) trace_rounds: Vec<RoundRecord>,
-    pub(crate) cache_enabled: bool,
     pub(crate) farfield_enabled: bool,
     pub(crate) hierarchical_enabled: bool,
     pub(crate) resolve_threads: u64,
@@ -231,7 +230,6 @@ impl SimSnapshot {
                 }
             }
         }
-        w.bool(self.cache_enabled);
         w.bool(self.farfield_enabled);
         w.bool(self.hierarchical_enabled);
         w.u64(self.resolve_threads);
@@ -369,7 +367,6 @@ impl SimSnapshot {
                 transmitter_ids,
             });
         }
-        let cache_enabled = r.bool()?;
         let farfield_enabled = r.bool()?;
         let hierarchical_enabled = r.bool()?;
         let resolve_threads = r.u64()?;
@@ -399,7 +396,6 @@ impl SimSnapshot {
             trace_cap,
             trace_truncated,
             trace_rounds,
-            cache_enabled,
             farfield_enabled,
             hierarchical_enabled,
             resolve_threads,
@@ -493,11 +489,8 @@ impl Writer {
         self.u64(c.rounds);
         self.u64(c.farfield_rounds);
         self.u64(c.hierarchical_rounds);
-        self.u64(c.gain_cache_rounds);
         self.u64(c.exact_rounds);
         self.u64(c.instrumented_rounds);
-        self.bool(c.gain_cache_built);
-        self.u64(c.gain_cache_bypassed_rounds);
         self.u64(c.perturbed_rounds);
         self.u64(c.jammed_rounds);
         self.u64(c.noise_scaled_rounds);
@@ -620,11 +613,8 @@ impl<'a> Reader<'a> {
             rounds: self.u64()?,
             farfield_rounds: self.u64()?,
             hierarchical_rounds: self.u64()?,
-            gain_cache_rounds: self.u64()?,
             exact_rounds: self.u64()?,
             instrumented_rounds: self.u64()?,
-            gain_cache_built: self.bool()?,
-            gain_cache_bypassed_rounds: self.u64()?,
             perturbed_rounds: self.u64()?,
             jammed_rounds: self.u64()?,
             noise_scaled_rounds: self.u64()?,
@@ -679,14 +669,13 @@ mod tests {
                 knocked_out: 1,
                 transmitter_ids: Some(vec![0, 2]),
             }],
-            cache_enabled: true,
             farfield_enabled: false,
             hierarchical_enabled: false,
             resolve_threads: 4,
             counters: EngineCounters {
                 rounds: 17,
-                gain_cache_rounds: 17,
-                gain_cache_built: true,
+                exact_rounds: 12,
+                farfield_rounds: 5,
                 ..EngineCounters::default()
             },
             farfield_stats: Some(FarFieldStats {

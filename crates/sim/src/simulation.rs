@@ -7,8 +7,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use fading_channel::{
-    ActiveInterference, Channel, ChannelPerturbation, FarFieldEngine, FarFieldStats, GainCache,
-    HierarchicalFarFieldEngine, NodeId, SinrBreakdown,
+    Channel, ChannelPerturbation, FarFieldEngine, FarFieldStats, HierarchicalFarFieldEngine,
+    NodeId, SinrBreakdown,
 };
 use fading_geom::{Deployment, Point};
 
@@ -22,15 +22,134 @@ use crate::telemetry::{MetricsRegistry, Phase, RoundEvent, TelemetryDetail, Tele
 use crate::{Action, Protocol};
 
 /// Deployment size above which a freshly built [`Simulation`] routes
+/// uninstrumented rounds through the flat [`FarFieldEngine`] by default;
+/// at or below it the exact scan serves.
+///
+/// Set by a full-trial measurement, engine build included, not by the
+/// isolated resolve probe: FKN's active set collapses within a few rounds,
+/// so a per-round speedup must first repay the engine build. On FKN/SINR
+/// trials at n = 4096 (density 0.25, α = 3, seed 2; 2-vCPU x86-64 guest)
+/// exact took 5.2 ms of user CPU per trial against 7.6 ms for the flat
+/// far-field tier. [`Simulation::set_farfield_enabled`] overrides in
+/// either direction.
+pub const FARFIELD_AUTO_THRESHOLD: usize = 4096;
+
+/// Deployment size above which a freshly built [`Simulation`] routes
 /// rounds through the hierarchical far-field engine by default.
 ///
-/// Below this the flat [`FarFieldEngine`] (tier 3) is already fast — its
+/// Below this the flat [`FarFieldEngine`] is already fast — its
 /// tile-pair tables are capped at `MAX_TILES_PER_SIDE²` entries — and the
 /// tree traversal's extra bookkeeping buys nothing. Above it the flat
 /// engine's per-listener far-field refresh starts scanning tens of
-/// thousands of tiles and the `O(log)`-depth tree takes over (tier 4).
+/// thousands of tiles and the `O(log)`-depth tree takes over.
 /// [`Simulation::set_hierarchical_enabled`] overrides in either direction.
 pub const HIERARCHICAL_AUTO_THRESHOLD: usize = 65_536;
+
+/// The occupancy and decision-counter surface both far-field engines
+/// share, so the simulator keeps them in sync through one code path.
+trait TierEngine {
+    fn deactivate(&mut self, v: NodeId);
+    fn activate(&mut self, v: NodeId);
+    fn stats(&self) -> FarFieldStats;
+    fn set_stats(&mut self, stats: FarFieldStats);
+}
+
+impl TierEngine for FarFieldEngine {
+    fn deactivate(&mut self, v: NodeId) {
+        FarFieldEngine::deactivate(self, v);
+    }
+    fn activate(&mut self, v: NodeId) {
+        FarFieldEngine::activate(self, v);
+    }
+    fn stats(&self) -> FarFieldStats {
+        FarFieldEngine::stats(self)
+    }
+    fn set_stats(&mut self, stats: FarFieldStats) {
+        FarFieldEngine::set_stats(self, stats);
+    }
+}
+
+impl TierEngine for HierarchicalFarFieldEngine {
+    fn deactivate(&mut self, v: NodeId) {
+        HierarchicalFarFieldEngine::deactivate(self, v);
+    }
+    fn activate(&mut self, v: NodeId) {
+        HierarchicalFarFieldEngine::activate(self, v);
+    }
+    fn stats(&self) -> FarFieldStats {
+        HierarchicalFarFieldEngine::stats(self)
+    }
+    fn set_stats(&mut self, stats: FarFieldStats) {
+        HierarchicalFarFieldEngine::set_stats(self, stats);
+    }
+}
+
+/// A far-field tier engine, built on the first round its tier serves.
+#[derive(Debug)]
+enum LazyEngine<E> {
+    /// Not built yet.
+    Unbuilt,
+    /// The channel built none (radio and Rayleigh channels, non-finite
+    /// positions): the tier's rounds fall through to the exact path.
+    Unavailable,
+    Built(E),
+}
+
+impl<E: TierEngine> LazyEngine<E> {
+    fn get(&self) -> Option<&E> {
+        match self {
+            LazyEngine::Built(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    fn get_mut(&mut self) -> Option<&mut E> {
+        match self {
+            LazyEngine::Built(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    fn is_unbuilt(&self) -> bool {
+        matches!(self, LazyEngine::Unbuilt)
+    }
+
+    /// The engine, building it on first use and replaying every inactive
+    /// node of `active` into its occupancy.
+    fn get_or_build(
+        &mut self,
+        active: &[bool],
+        build: impl FnOnce() -> Option<E>,
+    ) -> Option<&mut E> {
+        if self.is_unbuilt() {
+            *self = match build() {
+                Some(mut e) => {
+                    for (i, _) in active.iter().enumerate().filter(|(_, &a)| !a) {
+                        e.deactivate(i);
+                    }
+                    LazyEngine::Built(e)
+                }
+                None => LazyEngine::Unavailable,
+            };
+        }
+        self.get_mut()
+    }
+
+    /// Mirrors node `v`'s activity into a built engine's occupancy.
+    fn set_active(&mut self, v: NodeId, active: bool) {
+        if let LazyEngine::Built(e) = self {
+            if active {
+                e.activate(v);
+            } else {
+                e.deactivate(v);
+            }
+        }
+    }
+
+    fn stats(&self) -> Option<FarFieldStats> {
+        self.get().map(E::stats)
+    }
+}
 
 /// Why a simulation could not be constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,24 +232,14 @@ pub struct Simulation {
     winner: Option<NodeId>,
     trace_level: TraceLevel,
     trace: Trace,
-    // Precomputed pairwise gains (None when the channel has no
-    // deterministic gains or the deployment exceeds the size guard), and
-    // the incremental interference totals maintained on top of them.
-    gain_cache: Option<GainCache>,
-    cache_enabled: bool,
-    active_interference: Option<ActiveInterference>,
-    // Tile-aggregated far-field engine (None when the channel cannot
-    // support the decision-exactness contract — radio and Rayleigh). By
-    // default it serves the tier above the gain cache: enabled exactly
-    // when the deployment exceeded the cache's size guard.
-    farfield: Option<FarFieldEngine>,
+    // Tile-aggregated far-field engine, the tier above the exact scan
+    // (enabled by default above FARFIELD_AUTO_THRESHOLD), and the
+    // hierarchical (tile-tree) engine above it (enabled by default above
+    // HIERARCHICAL_AUTO_THRESHOLD). Each is built on the first round its
+    // tier serves, so only the serving engine ever exists.
+    farfield: LazyEngine<FarFieldEngine>,
     farfield_enabled: bool,
-    // Hierarchical (tile-tree) far-field engine, the tier above the flat
-    // engine. Built eagerly only when the deployment crosses
-    // HIERARCHICAL_AUTO_THRESHOLD; `set_hierarchical_enabled(true)` builds
-    // it on demand at any size. None when the channel cannot support the
-    // decision-exactness contract (radio and Rayleigh).
-    hierarchical: Option<HierarchicalFarFieldEngine>,
+    hierarchical: LazyEngine<HierarchicalFarFieldEngine>,
     hierarchical_enabled: bool,
     // Executor for the hierarchical engine's per-listener-chunk resolve.
     // Thread count never changes results (the ChunkExecutor contract);
@@ -200,50 +309,6 @@ impl Simulation {
         let active: Vec<bool> = protocols.iter().map(|p| p.is_active()).collect();
         let num_active = active.iter().filter(|&&a| a).count();
         let positions = deployment.points().to_vec();
-        // Per-channel cache policy: cached and uncached resolves are
-        // bit-identical by contract, so declining the cache here (e.g. the
-        // Rayleigh channel past RAYLEIGH_CACHE_PROFITABLE_NODES, where the
-        // memory-bound n×n rows lose to the batched kernels) is purely a
-        // performance decision and can never change results.
-        let gain_cache = if channel.gain_cache_profitable(n) {
-            channel.build_gain_cache(&positions)
-        } else {
-            None
-        };
-        let mut active_interference = gain_cache.as_ref().map(ActiveInterference::new);
-        if let (Some(engine), Some(cache)) = (&mut active_interference, &gain_cache) {
-            for (i, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    engine.deactivate(cache, i);
-                }
-            }
-        }
-        let mut farfield = channel.build_farfield_engine(&positions);
-        if let Some(engine) = &mut farfield {
-            for (i, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    engine.deactivate(i);
-                }
-            }
-        }
-        // Engine-tier default: the far-field path picks up exactly where
-        // the O(n²) gain cache bows out (n > DEFAULT_MAX_CACHED_NODES).
-        let farfield_enabled = gain_cache.is_none();
-        // Tier above that: the hierarchical engine takes over once the
-        // flat engine's tile tables stop scaling.
-        let hierarchical_enabled = n > HIERARCHICAL_AUTO_THRESHOLD;
-        let mut hierarchical = if hierarchical_enabled {
-            channel.build_hierarchical_engine(&positions)
-        } else {
-            None
-        };
-        if let Some(engine) = &mut hierarchical {
-            for (i, &is_active) in active.iter().enumerate() {
-                if !is_active {
-                    engine.deactivate(i);
-                }
-            }
-        }
         Simulation {
             positions,
             channel,
@@ -259,13 +324,10 @@ impl Simulation {
             winner: None,
             trace_level: TraceLevel::None,
             trace: Trace::default(),
-            gain_cache,
-            cache_enabled: true,
-            active_interference,
-            farfield,
-            farfield_enabled,
-            hierarchical,
-            hierarchical_enabled,
+            farfield: LazyEngine::Unbuilt,
+            farfield_enabled: n > FARFIELD_AUTO_THRESHOLD,
+            hierarchical: LazyEngine::Unbuilt,
+            hierarchical_enabled: n > HIERARCHICAL_AUTO_THRESHOLD,
             resolve_pool: StealPool::new(1),
             transmitters: Vec::new(),
             listeners: Vec::new(),
@@ -397,15 +459,7 @@ impl Simulation {
         if self.active[v] {
             self.active[v] = false;
             self.num_active -= 1;
-            if let (Some(engine), Some(cache)) = (&mut self.active_interference, &self.gain_cache) {
-                engine.deactivate(cache, v);
-            }
-            if let Some(engine) = &mut self.farfield {
-                engine.deactivate(v);
-            }
-            if let Some(engine) = &mut self.hierarchical {
-                engine.deactivate(v);
-            }
+            self.sync_engines(v);
             true
         } else {
             false
@@ -421,19 +475,19 @@ impl Simulation {
         if !self.active[v] && self.protocols[v].is_active() {
             self.active[v] = true;
             self.num_active += 1;
-            if let (Some(engine), Some(cache)) = (&mut self.active_interference, &self.gain_cache) {
-                engine.activate(cache, v);
-            }
-            if let Some(engine) = &mut self.farfield {
-                engine.activate(v);
-            }
-            if let Some(engine) = &mut self.hierarchical {
-                engine.activate(v);
-            }
+            self.sync_engines(v);
             true
         } else {
             false
         }
+    }
+
+    /// Mirrors node `v`'s current activity into every built engine's
+    /// occupancy (unbuilt engines replay the active mask when built).
+    fn sync_engines(&mut self, v: NodeId) {
+        let active = self.active[v];
+        self.farfield.set_active(v, active);
+        self.hierarchical.set_active(v, active);
     }
 
     /// Applies the churn events scheduled for the current round (called at
@@ -471,57 +525,35 @@ impl Simulation {
         applied
     }
 
-    /// Enables or disables the gain cache for subsequent rounds.
-    ///
-    /// The cache is on by default whenever the channel built one. Because
-    /// cached resolution is bit-identical to uncached, toggling this never
-    /// changes a run's outcome — only its speed. Exposed so equivalence
-    /// and determinism tests can compare both paths.
-    pub fn set_gain_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-    }
-
-    /// Whether rounds currently resolve through a gain cache (a cache
-    /// exists **and** caching is enabled).
-    #[must_use]
-    pub fn gain_cache_active(&self) -> bool {
-        self.cache_enabled && self.gain_cache.is_some()
-    }
-
-    /// The precomputed gain cache, when the channel built one.
-    #[must_use]
-    pub fn gain_cache(&self) -> Option<&GainCache> {
-        self.gain_cache.as_ref()
-    }
-
     /// Enables or disables the far-field engine for subsequent rounds.
     ///
-    /// The engine is on by default exactly when no gain cache exists (the
-    /// deployment exceeded the cache's `O(n²)` size guard), making it the
-    /// third engine tier: exact → gain-cache → far-field as `n` grows.
-    /// Because the far-field resolve is decision-exact (bit-identical
-    /// receptions; see
+    /// The engine is on by default exactly when the deployment exceeds
+    /// [`FARFIELD_AUTO_THRESHOLD`], making it the second engine tier:
+    /// exact → far-field → hierarchical as `n` grows. It is built on the
+    /// first round it serves, with the then-current knockouts replayed
+    /// into its occupancy. Because the far-field resolve is
+    /// decision-exact (bit-identical receptions; see
     /// [`Channel::resolve_farfield`](fading_channel::Channel::resolve_farfield)),
     /// toggling this never changes a run's outcome — only its speed.
-    /// Exposed, like [`Simulation::set_gain_cache_enabled`], so equivalence
-    /// and determinism tests can cross all engine tiers.
+    /// Exposed so equivalence and determinism tests can cross all engine
+    /// tiers at any size.
     pub fn set_farfield_enabled(&mut self, enabled: bool) {
         self.farfield_enabled = enabled;
     }
 
-    /// Whether rounds currently resolve through the far-field engine (an
-    /// engine exists **and** it is enabled). Rounds that need SINR
+    /// Whether rounds currently resolve through the far-field engine (the
+    /// engine has been built **and** it is enabled). Rounds that need SINR
     /// breakdowns for telemetry still route through the instrumented exact
     /// path regardless.
     #[must_use]
     pub fn farfield_active(&self) -> bool {
-        self.farfield_enabled && self.farfield.is_some()
+        self.farfield_enabled && self.farfield.get().is_some()
     }
 
-    /// The far-field engine, when the channel built one.
+    /// The far-field engine, once a round it served has built it.
     #[must_use]
     pub fn farfield_engine(&self) -> Option<&FarFieldEngine> {
-        self.farfield.as_ref()
+        self.farfield.get()
     }
 
     /// Decision counters of the far-field engine, when one exists:
@@ -529,57 +561,45 @@ impl Simulation {
     /// fell back to the exact scan.
     #[must_use]
     pub fn farfield_stats(&self) -> Option<FarFieldStats> {
-        self.farfield.as_ref().map(FarFieldEngine::stats)
+        self.farfield.stats()
     }
 
     /// Enables or disables the hierarchical far-field engine for
-    /// subsequent rounds, building it on demand (occupancy synced to the
-    /// current active set) if the channel supports one.
+    /// subsequent rounds.
     ///
     /// The engine is on by default exactly when the deployment exceeds
-    /// [`HIERARCHICAL_AUTO_THRESHOLD`], making it the fourth engine tier:
-    /// exact → gain-cache → far-field → hierarchical as `n` grows. The
+    /// [`HIERARCHICAL_AUTO_THRESHOLD`], making it the top engine tier; it
+    /// outranks the flat far-field engine, which is then never built. Like
+    /// every tier engine it is built on the first round it serves. The
     /// hierarchical resolve is decision-exact (bit-identical receptions;
     /// see [`Channel::resolve_hierarchical`]), so toggling this never
-    /// changes a run's outcome — only its speed. Exposed, like the other
-    /// tier toggles, so equivalence and determinism tests can cross every
-    /// tier at any size.
+    /// changes a run's outcome — only its speed.
     ///
     /// [`Channel::resolve_hierarchical`]: fading_channel::Channel::resolve_hierarchical
     pub fn set_hierarchical_enabled(&mut self, enabled: bool) {
         self.hierarchical_enabled = enabled;
-        if enabled && self.hierarchical.is_none() {
-            let mut engine = self.channel.build_hierarchical_engine(&self.positions);
-            if let Some(e) = &mut engine {
-                for (i, &is_active) in self.active.iter().enumerate() {
-                    if !is_active {
-                        e.deactivate(i);
-                    }
-                }
-            }
-            self.hierarchical = engine;
-        }
     }
 
     /// Whether rounds currently resolve through the hierarchical engine
-    /// (an engine exists **and** it is enabled). Rounds that need SINR
-    /// breakdowns for telemetry still route through the instrumented exact
-    /// path regardless.
+    /// (the engine has been built **and** it is enabled). Rounds that need
+    /// SINR breakdowns for telemetry still route through the instrumented
+    /// exact path regardless.
     #[must_use]
     pub fn hierarchical_active(&self) -> bool {
-        self.hierarchical_enabled && self.hierarchical.is_some()
+        self.hierarchical_enabled && self.hierarchical.get().is_some()
     }
 
-    /// The hierarchical far-field engine, when one has been built.
+    /// The hierarchical far-field engine, once a round it served has
+    /// built it.
     #[must_use]
     pub fn hierarchical_engine(&self) -> Option<&HierarchicalFarFieldEngine> {
-        self.hierarchical.as_ref()
+        self.hierarchical.get()
     }
 
     /// Decision counters of the hierarchical engine, when one exists.
     #[must_use]
     pub fn hierarchical_stats(&self) -> Option<FarFieldStats> {
-        self.hierarchical.as_ref().map(HierarchicalFarFieldEngine::stats)
+        self.hierarchical.stats()
     }
 
     /// Sets how many worker threads the hierarchical engine's parallel
@@ -598,18 +618,6 @@ impl Simulation {
     #[must_use]
     pub fn resolve_threads(&self) -> usize {
         self.resolve_pool.threads()
-    }
-
-    /// The running total interference at node `v` from all still-active
-    /// nodes (`Σ_{w active, w ≠ v} P / d(w,v)^α`), maintained
-    /// incrementally as nodes knock out. `None` when no gain cache exists
-    /// or `v` is out of range.
-    #[must_use]
-    pub fn active_interference_at(&self, v: NodeId) -> Option<f64> {
-        if v >= self.positions.len() {
-            return None;
-        }
-        self.active_interference.as_ref().map(|ai| ai.total_at(v))
     }
 
     /// Selects how much per-round detail to record. Call before stepping.
@@ -710,18 +718,17 @@ impl Simulation {
     }
 
     /// One unified snapshot of every engine-decision counter: per-tier
-    /// round routing, gain-cache and perturbation activity, and the
+    /// round routing, perturbation activity, and the
     /// far-field decision ladder's per-rung counters (merged in from the
     /// live engine). See [`EngineCounters`] for the reconciliation
     /// invariants.
     #[must_use]
     pub fn engine_counters(&self) -> EngineCounters {
         let mut c = self.counters;
-        c.gain_cache_built = self.gain_cache.is_some();
         // Both engines share the same decision ladder; the counters view
         // aggregates their per-rung stats into one block.
-        let mut ff = self.farfield.as_ref().map(FarFieldEngine::stats).unwrap_or_default();
-        if let Some(h) = self.hierarchical.as_ref().map(HierarchicalFarFieldEngine::stats) {
+        let mut ff = self.farfield.stats().unwrap_or_default();
+        if let Some(h) = self.hierarchical.stats() {
             ff.rounds += h.rounds;
             ff.empty_round_silences += h.empty_round_silences;
             ff.nonfinite_fallbacks += h.nonfinite_fallbacks;
@@ -740,15 +747,15 @@ impl Simulation {
     /// instrumented path and compared against the fast tier's receptions.
     /// `samples == 0` disables the check. Call before stepping.
     ///
-    /// A round is eligible when it was served by a fast tier (gain cache,
-    /// far-field, or hierarchical) on a channel whose resolve draws no
+    /// A round is eligible when it was served by a far-field tier (flat or
+    /// hierarchical) on a channel whose resolve draws no
     /// randomness — a partial re-resolve on an RNG-drawing channel would
     /// desynchronize the stream. On any mismatch, or a non-finite signal /
     /// interference / noise intermediate, the serving tier is **demoted**
-    /// for the rest of the run (hierarchical → far-field → gain-cache →
-    /// exact), recorded in [`EngineCounters::tier_demotions`] and the span
-    /// stream. The check never panics, and because the tiers are
-    /// bit-identical, demotion never changes a healthy run's outcome.
+    /// for the rest of the run (hierarchical → far-field → exact), recorded
+    /// in [`EngineCounters::tier_demotions`] and the span stream. The check
+    /// never panics, and because the tiers are bit-identical, demotion
+    /// never changes a healthy run's outcome.
     ///
     /// Sample selection draws from a dedicated RNG lane derived from the
     /// master seed, so enabling the check does not perturb the run.
@@ -808,7 +815,7 @@ impl Simulation {
     /// state: round counter, all RNG lanes (including the fault lane), the
     /// active mask, per-node protocol states, fault-plan progress
     /// (churn cursor, Gilbert–Elliott burst state), engine-tier toggles
-    /// with occupancy-bearing stats, counters, and the trace.
+    /// with the stats of every built engine, counters, and the trace.
     ///
     /// Restoring into an identically constructed simulation (same
     /// deployment, channel, seed, protocol factory, and fault plan) via
@@ -848,16 +855,12 @@ impl Simulation {
             trace_cap: self.trace_cap as u64,
             trace_truncated: self.trace.truncated(),
             trace_rounds: self.trace.rounds().to_vec(),
-            cache_enabled: self.cache_enabled,
             farfield_enabled: self.farfield_enabled,
             hierarchical_enabled: self.hierarchical_enabled,
             resolve_threads: self.resolve_pool.threads() as u64,
             counters: self.counters,
-            farfield_stats: self.farfield.as_ref().map(FarFieldEngine::stats),
-            hierarchical_stats: self
-                .hierarchical
-                .as_ref()
-                .map(HierarchicalFarFieldEngine::stats),
+            farfield_stats: self.farfield.stats(),
+            hierarchical_stats: self.hierarchical.stats(),
         }
     }
 
@@ -930,38 +933,28 @@ impl Simulation {
         }
         self.chan_rng = SmallRng::from_state(snap.chan_rng);
         self.fault_rng = SmallRng::from_state(snap.fault_rng);
-        // 4. Engine tiers. The hierarchical engine is built on demand when
-        // the snapshot recorded one (its occupancy syncs to the active
-        // mask reconciled above); a channel that cannot build it is
-        // incompatible with the snapshot.
-        self.cache_enabled = snap.cache_enabled;
+        // 4. Engine tiers. Each engine the snapshot recorded is rebuilt
+        // here (its occupancy replays the active mask reconciled above) and
+        // carries its stats forward; the others stay unbuilt until a round
+        // they serve builds them. A channel that cannot build a recorded
+        // engine is incompatible with the snapshot.
         self.farfield_enabled = snap.farfield_enabled;
         self.hierarchical_enabled = snap.hierarchical_enabled;
-        if snap.hierarchical_stats.is_some() && self.hierarchical.is_none() {
-            let mut engine = self.channel.build_hierarchical_engine(&self.positions);
-            if let Some(e) = &mut engine {
-                for (i, &is_active) in self.active.iter().enumerate() {
-                    if !is_active {
-                        e.deactivate(i);
-                    }
-                }
-            }
-            self.hierarchical = engine;
-        }
-        if snap.farfield_stats.is_some() != self.farfield.is_some()
-            || snap.hierarchical_stats.is_some() != self.hierarchical.is_some()
-        {
+        let (channel, positions, active) = (&self.channel, &self.positions, &self.active);
+        let restored = restore_engine(&mut self.farfield, snap.farfield_stats, active, || {
+            channel.build_farfield_engine(positions)
+        }) && restore_engine(
+            &mut self.hierarchical,
+            snap.hierarchical_stats,
+            active,
+            || channel.build_hierarchical_engine(positions),
+        );
+        if !restored {
             return Err(SnapshotError::Incompatible {
                 detail: "engine availability differs from the snapshot's \
                          (different channel capabilities)"
                     .to_string(),
             });
-        }
-        if let (Some(engine), Some(stats)) = (&mut self.farfield, snap.farfield_stats) {
-            engine.set_stats(stats);
-        }
-        if let (Some(engine), Some(stats)) = (&mut self.hierarchical, snap.hierarchical_stats) {
-            engine.set_stats(stats);
         }
         // 5. Scalars, fault progress, counters, trace.
         self.round = snap.round;
@@ -1058,6 +1051,51 @@ impl Simulation {
         }
     }
 
+    /// The far-field tier serving an uninstrumented round — hierarchical
+    /// over flat when both are enabled — building its engine on first use;
+    /// [`ResolvePath::Exact`] when no enabled tier has an engine.
+    fn serving_tier(&mut self) -> ResolvePath {
+        let (channel, positions, active) = (&self.channel, &self.positions, &self.active);
+        if self.hierarchical_enabled {
+            let _span = self
+                .hierarchical
+                .is_unbuilt()
+                .then(|| self.span("build.hierarchical"));
+            if self
+                .hierarchical
+                .get_or_build(active, || channel.build_hierarchical_engine(positions))
+                .is_some()
+            {
+                return ResolvePath::Hierarchical;
+            }
+        }
+        if self.farfield_enabled {
+            let _span = self
+                .farfield
+                .is_unbuilt()
+                .then(|| self.span("build.farfield"));
+            if self
+                .farfield
+                .get_or_build(active, || channel.build_farfield_engine(positions))
+                .is_some()
+            {
+                return ResolvePath::FarField;
+            }
+        }
+        ResolvePath::Exact
+    }
+
+    /// Cumulative exact fallbacks of the engine serving `path` (0 for the
+    /// exact and instrumented paths).
+    fn tier_fallbacks(&self, path: ResolvePath) -> u64 {
+        let stats = match path {
+            ResolvePath::FarField => self.farfield.stats(),
+            ResolvePath::Hierarchical => self.hierarchical.stats(),
+            _ => None,
+        };
+        stats.map_or(0, |s| s.exact_fallbacks())
+    }
+
     /// Executes one synchronous round and reports the outcome.
     ///
     /// Stepping past resolution is allowed (the remaining active nodes keep
@@ -1114,96 +1152,15 @@ impl Simulation {
         let participants = self.transmitters.len() + self.listeners.len();
         self.mark_phase(Phase::Act, &mut phase_mark);
 
-        // Phase 2: the channel decides what listeners observe. The cached
-        // path is bit-identical to the uncached one, so which branch runs
-        // never affects the outcome; likewise a neutral (or absent)
-        // perturbation resolves through the exact same code path, and the
-        // instrumented path (taken when the sink wants SINR breakdowns) is
-        // contractually bit-identical to the uninstrumented one.
-        let cache = if self.cache_enabled {
-            self.gain_cache.as_ref()
-        } else {
-            None
-        };
-        // The far-field tiers only serve uninstrumented rounds: SINR
-        // breakdowns require the full per-pair decomposition the pruned
-        // paths exist to skip. The hierarchical engine outranks the flat
-        // one when both exist and are enabled.
-        let use_hierarchical =
-            self.hierarchical_enabled && !want_sinr && self.hierarchical.is_some();
-        let use_farfield =
-            !use_hierarchical && self.farfield_enabled && !want_sinr && self.farfield.is_some();
-        // Which tier serves this round. The classification is the same for
-        // perturbed and unperturbed rounds: the fault plan changes what is
-        // resolved, not which engine resolves it.
-        let resolve_path = if use_hierarchical {
-            ResolvePath::Hierarchical
-        } else if use_farfield {
-            ResolvePath::FarField
-        } else if want_sinr {
-            ResolvePath::Instrumented
-        } else if cache.is_some() {
-            ResolvePath::Cached
-        } else {
-            ResolvePath::Exact
-        };
-        // Snapshot the far-field fallback tally so telemetry can report the
-        // per-round delta (plain field reads; negligible next to resolve).
-        let ff_fallbacks_before = if use_hierarchical {
-            self.hierarchical
-                .as_ref()
-                .map_or(0, |e| e.stats().exact_fallbacks())
-        } else if use_farfield {
-            self.farfield
-                .as_ref()
-                .map_or(0, |e| e.stats().exact_fallbacks())
-        } else {
-            0
-        };
-        let span_resolve = self.span("resolve");
-        let span_tier = self.span(match resolve_path {
-            ResolvePath::Exact => "resolve.exact",
-            ResolvePath::Cached => "resolve.gain_cache",
-            ResolvePath::FarField => "resolve.farfield",
-            ResolvePath::Hierarchical => "resolve.hierarchical",
-            ResolvePath::Instrumented => "resolve.instrumented",
-        });
-        let mut event_noise_scale = 1.0;
-        let mut event_jam_power = 0.0;
-        let mut receptions = match &self.fault_plan {
-            None if use_hierarchical => self.channel.resolve_hierarchical(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                self.hierarchical.as_mut(),
-                &self.resolve_pool,
-                &ChannelPerturbation::neutral(),
-                &mut self.chan_rng,
-            ),
-            None if use_farfield => self.channel.resolve_farfield(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                self.farfield.as_mut(),
-                &ChannelPerturbation::neutral(),
-                &mut self.chan_rng,
-            ),
-            None if !want_sinr => self.channel.resolve_cached(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                cache,
-                &mut self.chan_rng,
-            ),
-            None => self.channel.resolve_instrumented(
-                &self.positions,
-                &self.transmitters,
-                &self.listeners,
-                cache,
-                &ChannelPerturbation::neutral(),
-                &mut self.chan_rng,
-                &mut self.sinr_scratch,
-            ),
+        // Phase 2: the channel decides what listeners observe. Every tier
+        // is bit-identical to the exact scan, so which one serves never
+        // affects the outcome; likewise a neutral perturbation (no fault
+        // plan, or none of its faults active this round) resolves exactly
+        // as an unperturbed round, and the instrumented path (taken when
+        // the sink wants SINR breakdowns) is contractually bit-identical to
+        // the uninstrumented one. The fault plan changes what is resolved,
+        // not which engine resolves it.
+        let (noise_scale, jamming) = match &self.fault_plan {
             Some(plan) => {
                 let noise_scale = plan.noise_scale(self.round);
                 let jamming = plan.any_jammer_active(self.round);
@@ -1212,11 +1169,6 @@ impl Simulation {
                 }
                 if jamming {
                     self.counters.jammed_rounds += 1;
-                }
-                if noise_scale != 1.0 || jamming {
-                    self.counters.perturbed_rounds += 1;
-                }
-                let extra: &[f64] = if jamming {
                     let n = self.positions.len();
                     self.jam_scratch.iter_mut().for_each(|g| *g = 0.0);
                     for (j, jammer) in plan.jammers().iter().enumerate() {
@@ -1227,55 +1179,74 @@ impl Simulation {
                             }
                         }
                     }
-                    &self.jam_scratch
-                } else {
-                    &[]
-                };
-                if telemetry_on {
-                    event_noise_scale = noise_scale;
-                    event_jam_power = extra.iter().sum();
                 }
-                let perturbation = ChannelPerturbation::new(noise_scale, extra);
-                if want_sinr {
-                    self.channel.resolve_instrumented(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        cache,
-                        &perturbation,
-                        &mut self.chan_rng,
-                        &mut self.sinr_scratch,
-                    )
-                } else if use_hierarchical {
-                    self.channel.resolve_hierarchical(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        self.hierarchical.as_mut(),
-                        &self.resolve_pool,
-                        &perturbation,
-                        &mut self.chan_rng,
-                    )
-                } else if use_farfield {
-                    self.channel.resolve_farfield(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        self.farfield.as_mut(),
-                        &perturbation,
-                        &mut self.chan_rng,
-                    )
-                } else {
-                    self.channel.resolve_perturbed(
-                        &self.positions,
-                        &self.transmitters,
-                        &self.listeners,
-                        cache,
-                        &perturbation,
-                        &mut self.chan_rng,
-                    )
+                if noise_scale != 1.0 || jamming {
+                    self.counters.perturbed_rounds += 1;
                 }
+                (noise_scale, jamming)
             }
+            None => (1.0, false),
+        };
+        // The far-field tiers only serve uninstrumented rounds: SINR
+        // breakdowns require the full per-pair decomposition the pruned
+        // paths exist to skip.
+        let resolve_path = if want_sinr {
+            ResolvePath::Instrumented
+        } else {
+            self.serving_tier()
+        };
+        let extra: &[f64] = if jamming { &self.jam_scratch } else { &[] };
+        let event_jam_power = if telemetry_on && self.fault_plan.is_some() {
+            extra.iter().sum()
+        } else {
+            0.0
+        };
+        let perturbation = ChannelPerturbation::new(noise_scale, extra);
+        // Snapshot the far-field fallback tally so telemetry can report the
+        // per-round delta (plain field reads; negligible next to resolve).
+        let ff_fallbacks_before = self.tier_fallbacks(resolve_path);
+        let span_resolve = self.span("resolve");
+        let span_tier = self.span(match resolve_path {
+            ResolvePath::Exact => "resolve.exact",
+            ResolvePath::FarField => "resolve.farfield",
+            ResolvePath::Hierarchical => "resolve.hierarchical",
+            ResolvePath::Instrumented => "resolve.instrumented",
+        });
+        let (positions, transmitters, listeners) =
+            (&self.positions, &self.transmitters, &self.listeners);
+        let mut receptions = match resolve_path {
+            ResolvePath::Exact => self.channel.resolve_perturbed(
+                positions,
+                transmitters,
+                listeners,
+                &perturbation,
+                &mut self.chan_rng,
+            ),
+            ResolvePath::FarField => self.channel.resolve_farfield(
+                positions,
+                transmitters,
+                listeners,
+                self.farfield.get_mut(),
+                &perturbation,
+                &mut self.chan_rng,
+            ),
+            ResolvePath::Hierarchical => self.channel.resolve_hierarchical(
+                positions,
+                transmitters,
+                listeners,
+                self.hierarchical.get_mut(),
+                &self.resolve_pool,
+                &perturbation,
+                &mut self.chan_rng,
+            ),
+            ResolvePath::Instrumented => self.channel.resolve_instrumented(
+                positions,
+                transmitters,
+                listeners,
+                &perturbation,
+                &mut self.chan_rng,
+                &mut self.sinr_scratch,
+            ),
         };
         drop(span_tier);
         drop(span_resolve);
@@ -1284,20 +1255,9 @@ impl Simulation {
         self.counters.rounds += 1;
         match resolve_path {
             ResolvePath::Exact => self.counters.exact_rounds += 1,
-            ResolvePath::Cached => self.counters.gain_cache_rounds += 1,
             ResolvePath::FarField => self.counters.farfield_rounds += 1,
             ResolvePath::Hierarchical => self.counters.hierarchical_rounds += 1,
             ResolvePath::Instrumented => self.counters.instrumented_rounds += 1,
-        }
-        // A built cache counts as bypassed when this round was not served
-        // through it: either disabled via `set_gain_cache_enabled(false)`,
-        // or superseded by the far-field tier. (The instrumented path still
-        // carries the cache when enabled, so it does not count.)
-        if self.gain_cache.is_some()
-            && resolve_path != ResolvePath::Cached
-            && !(resolve_path == ResolvePath::Instrumented && self.cache_enabled)
-        {
-            self.counters.gain_cache_bypassed_rounds += 1;
         }
         self.counters.churn_applied += churn_applied as u64;
 
@@ -1311,7 +1271,7 @@ impl Simulation {
         if self.self_check.is_some()
             && matches!(
                 resolve_path,
-                ResolvePath::Cached | ResolvePath::FarField | ResolvePath::Hierarchical
+                ResolvePath::FarField | ResolvePath::Hierarchical
             )
             && !self.listeners.is_empty()
             && !self.channel.resolve_draws_rng()
@@ -1322,18 +1282,6 @@ impl Simulation {
                 let m = self.listeners.len();
                 let samples = sc.samples.min(m);
                 let inject = std::mem::take(&mut sc.inject_violation);
-                // Rebuild the round's perturbation exactly as the main
-                // resolve saw it (jam_scratch was filled above iff the
-                // round is jammed).
-                let (noise_scale, jamming) = match &self.fault_plan {
-                    Some(plan) => (
-                        plan.noise_scale(self.round),
-                        plan.any_jammer_active(self.round),
-                    ),
-                    None => (1.0, false),
-                };
-                let extra: &[f64] = if jamming { &self.jam_scratch } else { &[] };
-                let perturbation = ChannelPerturbation::new(noise_scale, extra);
                 let mut violated = false;
                 for s in 0..samples {
                     let idx = sc.rng.gen_range(0..m);
@@ -1346,7 +1294,6 @@ impl Simulation {
                         &self.positions,
                         &self.transmitters,
                         &audit,
-                        None,
                         &perturbation,
                         &mut audit_rng,
                         &mut self.self_check_scratch,
@@ -1369,12 +1316,12 @@ impl Simulation {
                     // Graceful degradation: drop exactly the tier that
                     // served this round; the next round re-selects among
                     // the remaining ones (hierarchical → far-field →
-                    // gain-cache → exact).
+                    // exact).
                     let _span_demote = self.span("self_check.demote");
-                    match resolve_path {
-                        ResolvePath::Hierarchical => self.hierarchical_enabled = false,
-                        ResolvePath::FarField => self.farfield_enabled = false,
-                        _ => self.cache_enabled = false,
+                    if resolve_path == ResolvePath::Hierarchical {
+                        self.hierarchical_enabled = false;
+                    } else {
+                        self.farfield_enabled = false;
                     }
                     self.counters.tier_demotions += 1;
                 }
@@ -1385,8 +1332,8 @@ impl Simulation {
         // Gilbert–Elliott burst loss: advance the channel state once per
         // round, then drop each decoded message with the state's drop
         // probability. Draws come from the dedicated fault RNG lane, and
-        // the reception set is cache-invariant, so this pass preserves
-        // byte-determinism across cache and thread settings.
+        // the reception set is tier-invariant, so this pass preserves
+        // byte-determinism across tier and thread settings.
         let mut ge_dropped = 0;
         if let Some(ge) = self.fault_plan.as_ref().and_then(FaultPlan::loss) {
             let span_ge = self.span("ge_drop");
@@ -1417,17 +1364,8 @@ impl Simulation {
                 if want_ids {
                     self.knocked_scratch.push(v);
                 }
-                if let (Some(engine), Some(cache)) =
-                    (&mut self.active_interference, &self.gain_cache)
-                {
-                    engine.deactivate(cache, v);
-                }
-                if let Some(engine) = &mut self.farfield {
-                    engine.deactivate(v);
-                }
-                if let Some(engine) = &mut self.hierarchical {
-                    engine.deactivate(v);
-                }
+                self.farfield.set_active(v, false);
+                self.hierarchical.set_active(v, false);
             }
         }
         drop(span_feedback);
@@ -1490,21 +1428,7 @@ impl Simulation {
 
         if telemetry_on {
             let _span_telemetry = self.span("telemetry");
-            let ff_fallbacks = if use_hierarchical {
-                let after = self
-                    .hierarchical
-                    .as_ref()
-                    .map_or(0, |e| e.stats().exact_fallbacks());
-                (after - ff_fallbacks_before) as usize
-            } else if use_farfield {
-                let after = self
-                    .farfield
-                    .as_ref()
-                    .map_or(0, |e| e.stats().exact_fallbacks());
-                (after - ff_fallbacks_before) as usize
-            } else {
-                0
-            };
+            let ff_fallbacks = (self.tier_fallbacks(resolve_path) - ff_fallbacks_before) as usize;
             let event = RoundEvent {
                 round: self.round,
                 active_pre_churn,
@@ -1513,7 +1437,7 @@ impl Simulation {
                 listeners: self.listeners.len(),
                 knocked_out,
                 churn_applied,
-                noise_scale: event_noise_scale,
+                noise_scale,
                 jam_power: event_jam_power,
                 ge_in_burst: self.loss_in_burst,
                 ge_dropped,
@@ -1594,6 +1518,24 @@ impl Simulation {
             sink.on_run_end(&result);
         }
         result
+    }
+}
+
+/// Rebuilds an engine a snapshot recorded (`stats` is `Some`) and restores
+/// its counters; `false` when the channel cannot build it.
+fn restore_engine<E: TierEngine>(
+    engine: &mut LazyEngine<E>,
+    stats: Option<FarFieldStats>,
+    active: &[bool],
+    build: impl FnOnce() -> Option<E>,
+) -> bool {
+    let Some(stats) = stats else { return true };
+    match engine.get_or_build(active, build) {
+        Some(e) => {
+            e.set_stats(stats);
+            true
+        }
+        None => false,
     }
 }
 
@@ -2097,9 +2039,9 @@ mod tests {
     }
 
     #[test]
-    fn faulted_run_is_cache_invariant() {
+    fn faulted_run_is_tier_invariant() {
         use crate::faults::{ChurnEvent, GilbertElliott, Jammer, NoiseBurst};
-        let run = |cache_on: bool| {
+        let run = |farfield: bool| {
             let mut sim = knockout_sim(9);
             let power = SinrParams::default_single_hop().power() * 10.0;
             let plan = FaultPlan::new()
@@ -2110,11 +2052,11 @@ mod tests {
                 .with_churn(ChurnEvent::late_wake(3, 1).unwrap())
                 .with_loss(GilbertElliott::new(0.2, 0.3, 0.05, 0.8).unwrap());
             sim.set_fault_plan(plan).unwrap();
-            sim.set_gain_cache_enabled(cache_on);
+            sim.set_farfield_enabled(farfield);
             sim.set_trace_level(TraceLevel::Full);
             sim.run_until_resolved(5_000)
         };
-        assert_eq!(run(true), run(false), "fault path must be cache-invariant");
+        assert_eq!(run(true), run(false), "fault path must be tier-invariant");
     }
 
     #[test]
@@ -2126,15 +2068,19 @@ mod tests {
         };
         let mut sim = knockout_sim(31);
         sim.set_trace_level(TraceLevel::Full);
+        sim.set_farfield_enabled(true);
         sim.set_self_check(4);
         assert!(sim.self_check_enabled());
         let checked = sim.run_until_resolved(5_000);
         let counters = sim.engine_counters();
-        assert!(counters.self_check_rounds > 0, "cached rounds must be audited");
+        assert!(
+            counters.self_check_rounds > 0,
+            "far-field rounds must be audited"
+        );
         assert!(counters.self_check_samples >= counters.self_check_rounds);
         assert_eq!(counters.self_check_violations, 0);
         assert_eq!(counters.tier_demotions, 0);
-        assert!(sim.gain_cache_active(), "no demotion on a healthy run");
+        assert!(sim.farfield_active(), "no demotion on a healthy run");
         assert_eq!(checked, clean, "auditing must not perturb the run");
     }
 
@@ -2147,6 +2093,7 @@ mod tests {
         };
         let mut sim = knockout_sim(31);
         sim.set_trace_level(TraceLevel::Full);
+        sim.set_farfield_enabled(true);
         sim.set_self_check(2);
         sim.inject_self_check_violation();
         let result = sim.run_until_resolved(5_000);
@@ -2154,9 +2101,11 @@ mod tests {
         assert_eq!(counters.tier_demotions, 1, "exactly one demotion");
         assert!(counters.self_check_violations >= 1);
         assert!(
-            !sim.gain_cache_active(),
-            "the serving gain-cache tier must be demoted"
+            !sim.farfield_active(),
+            "the serving far-field tier must be demoted"
         );
+        // The rounds after the demotion fall through to the exact scan.
+        assert!(counters.exact_rounds > 0, "demoted rounds resolve exactly");
         // The tiers are bit-identical, so a (spurious) demotion degrades
         // speed, never the outcome.
         assert_eq!(result, clean);

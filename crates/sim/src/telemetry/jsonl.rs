@@ -652,8 +652,7 @@ pub fn counters_to_json(c: &EngineCounters) -> String {
     let _ = write!(
         s,
         "{{\"rounds\":{},\"farfield_rounds\":{},\"hierarchical_rounds\":{},\
-         \"gain_cache_rounds\":{},\"exact_rounds\":{},\
-         \"instrumented_rounds\":{},\"gain_cache_built\":{},\"gain_cache_bypassed_rounds\":{},\
+         \"exact_rounds\":{},\"instrumented_rounds\":{},\
          \"perturbed_rounds\":{},\"jammed_rounds\":{},\"noise_scaled_rounds\":{},\
          \"ge_dropped\":{},\"churn_applied\":{},\"self_check_rounds\":{},\
          \"self_check_samples\":{},\"self_check_violations\":{},\"tier_demotions\":{},\
@@ -664,11 +663,8 @@ pub fn counters_to_json(c: &EngineCounters) -> String {
         c.rounds,
         c.farfield_rounds,
         c.hierarchical_rounds,
-        c.gain_cache_rounds,
         c.exact_rounds,
         c.instrumented_rounds,
-        c.gain_cache_built,
-        c.gain_cache_bypassed_rounds,
         c.perturbed_rounds,
         c.jammed_rounds,
         c.noise_scaled_rounds,
@@ -704,11 +700,8 @@ pub fn counters_from_json(line: &str) -> Result<EngineCounters, JsonlError> {
         rounds: get_u64(f, "rounds")?,
         farfield_rounds: get_u64(f, "farfield_rounds")?,
         hierarchical_rounds: get_u64(f, "hierarchical_rounds")?,
-        gain_cache_rounds: get_u64(f, "gain_cache_rounds")?,
         exact_rounds: get_u64(f, "exact_rounds")?,
         instrumented_rounds: get_u64(f, "instrumented_rounds")?,
-        gain_cache_built: get_bool(f, "gain_cache_built")?,
-        gain_cache_bypassed_rounds: get_u64(f, "gain_cache_bypassed_rounds")?,
         perturbed_rounds: get_u64(f, "perturbed_rounds")?,
         jammed_rounds: get_u64(f, "jammed_rounds")?,
         noise_scaled_rounds: get_u64(f, "noise_scaled_rounds")?,
@@ -1109,11 +1102,8 @@ mod tests {
             rounds: 100,
             farfield_rounds: 45,
             hierarchical_rounds: 15,
-            gain_cache_rounds: 30,
-            exact_rounds: 8,
+            exact_rounds: 38,
             instrumented_rounds: 2,
-            gain_cache_built: true,
-            gain_cache_bypassed_rounds: 5,
             perturbed_rounds: 12,
             jammed_rounds: 9,
             noise_scaled_rounds: 7,

@@ -3,11 +3,11 @@
 //! For each channel model, ≥128 randomly generated [`FaultPlan`]s (jammers
 //! with random positions/powers/duty cycles/budgets, noise bursts, churn
 //! schedules, Gilbert–Elliott burst loss) are each run as a small seeded
-//! trial batch under every combination of gain cache {on, off} × worker
-//! threads {1, 8}. The properties:
+//! trial batch under every combination of far-field tier {on, off} ×
+//! worker threads {1, 8}. The properties:
 //!
 //! 1. **No panics** — arbitrary (valid) plans never crash the engine.
-//! 2. **Byte-determinism** — all four cache/thread configurations produce
+//! 2. **Byte-determinism** — all four tier/thread configurations produce
 //!    identical `Vec<RunResult>`, traces included.
 //! 3. **Explicit outcomes** — every run ends as `Resolved` in a round
 //!    within the cap, or as `RoundCapExhausted` having executed exactly
@@ -109,11 +109,11 @@ fn build_plan(
     plan
 }
 
-/// One seeded trial batch under the given plan and cache/thread config.
+/// One seeded trial batch under the given plan and tier/thread config.
 fn run_batch(
     make_channel: &(dyn Fn() -> Box<dyn Channel> + Sync),
     plan: &FaultPlan,
-    cached: bool,
+    farfield: bool,
     threads: usize,
 ) -> Vec<RunResult> {
     montecarlo::run_trials(TRIALS, threads, 7_000, |seed| {
@@ -126,7 +126,7 @@ fn run_batch(
         });
         sim.set_fault_plan(plan.clone())
             .expect("plan validated against this deployment size");
-        sim.set_gain_cache_enabled(cached);
+        sim.set_farfield_enabled(farfield);
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(ROUND_CAP)
     })
@@ -134,13 +134,13 @@ fn run_batch(
 
 /// The full chaos property for one (channel, plan) pair.
 fn check_chaos_properties(make_channel: &(dyn Fn() -> Box<dyn Channel> + Sync), plan: &FaultPlan) {
-    let reference = run_batch(make_channel, plan, true, 1);
-    for &cached in &[true, false] {
+    let reference = run_batch(make_channel, plan, false, 1);
+    for &farfield in &[true, false] {
         for &threads in &[1usize, 8] {
-            let got = run_batch(make_channel, plan, cached, threads);
+            let got = run_batch(make_channel, plan, farfield, threads);
             assert_eq!(
                 got, reference,
-                "faulted batch diverged at cached={cached}, threads={threads}, plan={plan:?}"
+                "faulted batch diverged at farfield={farfield}, threads={threads}, plan={plan:?}"
             );
         }
     }

@@ -1,11 +1,11 @@
-//! Determinism harness: the gain cache must be invisible to results.
+//! Determinism harness: the engine tier must be invisible to results.
 //!
 //! [`montecarlo::run_trials`] batches over seeded simulations; this suite
 //! asserts the batch output is **byte-identical** (full [`RunResult`]
 //! equality, traces included) regardless of (a) whether the simulation
-//! resolves rounds through the gain cache and (b) how many worker threads
-//! run the batch — the cached-resolve contract and the seed-ordered
-//! fan-out contract, checked end to end.
+//! resolves rounds through the exact scan or the far-field engine and (b)
+//! how many worker threads run the batch — the decision-exactness
+//! contract and the seed-ordered fan-out contract, checked end to end.
 
 use fading_channel::{
     Channel, LossySinrChannel, RayleighSinrChannel, Reception, SinrChannel, SinrParams,
@@ -45,13 +45,20 @@ impl Protocol for Knockout {
 }
 
 /// Runs one full trial batch: `trials` seeded runs of a 24-node knockout
-/// protocol on the channel built by `make_channel`, with the gain cache
-/// forced on or off.
-fn run_batch<F>(make_channel: &F, cached: bool, threads: usize, trials: usize) -> Vec<RunResult>
+/// protocol on the channel built by `make_channel`, with the far-field
+/// tier forced on or off (its engine is built on the first round it
+/// serves) and the stress fault plan optionally attached.
+fn run_batch<F>(
+    make_channel: &F,
+    farfield: bool,
+    threads: usize,
+    trials: usize,
+    faulted: bool,
+) -> Vec<RunResult>
 where
     F: Fn() -> Box<dyn Channel> + Sync,
 {
-    montecarlo::run_trials(trials, threads, 1000, |seed| {
+    montecarlo::run_trials(trials, threads, 1000, move |seed| {
         let deployment = Deployment::uniform_square(24, 15.0, seed);
         let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
             Box::new(Knockout {
@@ -59,30 +66,35 @@ where
                 active: true,
             })
         });
-        sim.set_gain_cache_enabled(cached);
+        if faulted {
+            sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
+        }
+        sim.set_farfield_enabled(farfield);
         sim.set_trace_level(TraceLevel::Full);
         sim.run_until_resolved(20_000)
     })
 }
 
-/// The cross-product check for one channel: cache {on, off} × threads
-/// {1, 8} must all produce the same `Vec<RunResult>`.
-fn assert_cache_and_threads_invariant<F>(make_channel: F)
+/// The cross-product check for one channel: tier {exact, far-field} ×
+/// threads {1, 8} must all produce the same `Vec<RunResult>`, with or
+/// without fault injection (jamming, churn, noise bursts, and burst loss
+/// must all preserve byte-determinism).
+fn assert_tier_and_threads_invariant<F>(make_channel: F, faulted: bool)
 where
     F: Fn() -> Box<dyn Channel> + Sync,
 {
     let trials = 12;
-    let reference = run_batch(&make_channel, true, 1, trials);
+    let reference = run_batch(&make_channel, false, 1, trials, faulted);
     assert!(
         reference.iter().any(|r| r.resolved()),
-        "batch never resolved; the scenario is too hard to be a useful oracle"
+        "batch (faulted={faulted}) never resolved; too hard to be a useful oracle"
     );
-    for &cached in &[true, false] {
+    for &farfield in &[true, false] {
         for &threads in &[1usize, 8] {
-            let got = run_batch(&make_channel, cached, threads, trials);
+            let got = run_batch(&make_channel, farfield, threads, trials, faulted);
             assert_eq!(
                 got, reference,
-                "results diverged at cached={cached}, threads={threads}"
+                "results diverged at farfield={farfield}, threads={threads}, faulted={faulted}"
             );
         }
     }
@@ -93,20 +105,21 @@ fn params() -> SinrParams {
 }
 
 #[test]
-fn sinr_results_invariant_under_cache_and_thread_count() {
-    assert_cache_and_threads_invariant(|| Box::new(SinrChannel::new(params())));
+fn sinr_results_invariant_under_tier_and_thread_count() {
+    assert_tier_and_threads_invariant(|| Box::new(SinrChannel::new(params())), false);
 }
 
 #[test]
-fn rayleigh_results_invariant_under_cache_and_thread_count() {
-    assert_cache_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())));
+fn rayleigh_results_invariant_under_tier_and_thread_count() {
+    assert_tier_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())), false);
 }
 
 #[test]
-fn lossy_results_invariant_under_cache_and_thread_count() {
-    assert_cache_and_threads_invariant(|| {
-        Box::new(LossySinrChannel::new(params(), 0.2).expect("valid drop_prob"))
-    });
+fn lossy_results_invariant_under_tier_and_thread_count() {
+    assert_tier_and_threads_invariant(
+        || Box::new(LossySinrChannel::new(params(), 0.2).expect("valid drop_prob")),
+        false,
+    );
 }
 
 /// A representative kitchen-sink fault plan: duty-cycled budgeted jamming,
@@ -123,65 +136,22 @@ fn stress_plan() -> FaultPlan {
         .with_loss(GilbertElliott::new(0.15, 0.3, 0.02, 0.7).expect("valid"))
 }
 
-/// Like [`run_batch`], with the stress fault plan attached to every trial.
-fn run_faulted_batch<F>(make_channel: &F, cached: bool, threads: usize, trials: usize) -> Vec<RunResult>
-where
-    F: Fn() -> Box<dyn Channel> + Sync,
-{
-    montecarlo::run_trials(trials, threads, 1000, |seed| {
-        let deployment = Deployment::uniform_square(24, 15.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-        sim.set_gain_cache_enabled(cached);
-        sim.set_trace_level(TraceLevel::Full);
-        sim.run_until_resolved(20_000)
-    })
+#[test]
+fn faulted_sinr_results_invariant_under_tier_and_thread_count() {
+    assert_tier_and_threads_invariant(|| Box::new(SinrChannel::new(params())), true);
 }
 
-/// The cache {on, off} × threads {1, 8} cross-product with fault injection
-/// active: jamming, churn, noise bursts, and burst loss must all preserve
-/// byte-determinism.
-fn assert_faulted_cache_and_threads_invariant<F>(make_channel: F)
-where
-    F: Fn() -> Box<dyn Channel> + Sync,
-{
-    let trials = 12;
-    let reference = run_faulted_batch(&make_channel, true, 1, trials);
-    assert!(
-        reference.iter().any(|r| r.resolved()),
-        "faulted batch never resolved; the scenario is too hard to be a useful oracle"
+#[test]
+fn faulted_rayleigh_results_invariant_under_tier_and_thread_count() {
+    assert_tier_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())), true);
+}
+
+#[test]
+fn faulted_lossy_results_invariant_under_tier_and_thread_count() {
+    assert_tier_and_threads_invariant(
+        || Box::new(LossySinrChannel::new(params(), 0.2).expect("valid drop_prob")),
+        true,
     );
-    for &cached in &[true, false] {
-        for &threads in &[1usize, 8] {
-            let got = run_faulted_batch(&make_channel, cached, threads, trials);
-            assert_eq!(
-                got, reference,
-                "faulted results diverged at cached={cached}, threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn faulted_sinr_results_invariant_under_cache_and_thread_count() {
-    assert_faulted_cache_and_threads_invariant(|| Box::new(SinrChannel::new(params())));
-}
-
-#[test]
-fn faulted_rayleigh_results_invariant_under_cache_and_thread_count() {
-    assert_faulted_cache_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())));
-}
-
-#[test]
-fn faulted_lossy_results_invariant_under_cache_and_thread_count() {
-    assert_faulted_cache_and_threads_invariant(|| {
-        Box::new(LossySinrChannel::new(params(), 0.2).expect("valid drop_prob"))
-    });
 }
 
 #[test]
@@ -211,124 +181,6 @@ fn attaching_a_fault_plan_does_not_disturb_unfaulted_streams() {
     assert_eq!(run(false), run(true));
 }
 
-#[test]
-fn simulation_exposes_cache_state() {
-    let deployment = Deployment::uniform_square(16, 10.0, 7);
-    let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 7, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    assert!(sim.gain_cache_active(), "SINR channel should build a cache");
-    assert_eq!(sim.gain_cache().map(|c| c.len()), Some(16));
-    sim.set_gain_cache_enabled(false);
-    assert!(!sim.gain_cache_active());
-    assert!(sim.gain_cache().is_some(), "disabling keeps the cache built");
-}
-
-/// Regression: the Rayleigh channel's n×n gain cache is memory-bound past
-/// LLC and *slower* than recomputing deterministic gains with the batched
-/// kernels (measured 43.1 ms cached vs 33.4 ms uncached per round at
-/// n = 4096). The simulator must respect the channel's
-/// `gain_cache_profitable` policy: Rayleigh keeps the cache up to
-/// `RAYLEIGH_CACHE_PROFITABLE_NODES` and bypasses it above, while the
-/// deterministic SINR channel keeps it at every size its own guard admits.
-/// Bypassing never changes results (cached ≡ uncached bit-exactly), which
-/// `rayleigh_results_invariant_under_cache_and_thread_count` pins.
-#[test]
-fn rayleigh_bypasses_gain_cache_above_profitability_threshold() {
-    use fading_channel::RAYLEIGH_CACHE_PROFITABLE_NODES;
-
-    let make_sim = |channel: Box<dyn Channel>, n: usize| {
-        let deployment = Deployment::uniform_square(n, 40.0, 11);
-        Simulation::new(deployment, channel, 11, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        })
-    };
-
-    // At and below the threshold the cache still wins and is kept.
-    let small = make_sim(Box::new(RayleighSinrChannel::new(params())), 16);
-    assert!(small.gain_cache_active(), "small Rayleigh should cache");
-
-    // Above it the simulator must not even build the cache...
-    let n = RAYLEIGH_CACHE_PROFITABLE_NODES + 1;
-    let big = make_sim(Box::new(RayleighSinrChannel::new(params())), n);
-    assert!(
-        big.gain_cache().is_none(),
-        "Rayleigh cache should be bypassed at n = {n}"
-    );
-    assert!(!big.gain_cache_active());
-
-    // ...while the deterministic channel keeps caching at the same size
-    // (the policy is per-channel, not global).
-    let sinr = make_sim(Box::new(SinrChannel::new(params())), n);
-    assert!(
-        sinr.gain_cache_active(),
-        "SINR should still cache at n = {n}"
-    );
-}
-
-#[test]
-fn active_interference_shrinks_as_nodes_knock_out() {
-    let deployment = Deployment::uniform_square(24, 15.0, 3);
-    let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 17, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    let initial: Vec<f64> = (0..sim.len())
-        .map(|v| sim.active_interference_at(v).expect("cache exists"))
-        .collect();
-    assert!(initial.iter().all(|&t| t > 0.0));
-
-    let result = sim.run_until_resolved(20_000);
-    assert!(result.resolved());
-    assert!(sim.num_active() < sim.len(), "someone must knock out");
-    for (v, &was) in initial.iter().enumerate() {
-        let now = sim.active_interference_at(v).expect("cache exists");
-        assert!(now <= was, "interference at {v} grew: {now} > {was}");
-    }
-    assert_eq!(sim.active_interference_at(usize::MAX), None);
-}
-
-/// Like [`run_batch`]/[`run_faulted_batch`], but exercising the far-field
-/// engine: gain cache disabled so the farfield/exact comparison is pure,
-/// fault plan optional.
-fn run_farfield_batch<F>(
-    make_channel: &F,
-    farfield: bool,
-    threads: usize,
-    trials: usize,
-    faulted: bool,
-) -> Vec<RunResult>
-where
-    F: Fn() -> Box<dyn Channel> + Sync,
-{
-    montecarlo::run_trials(trials, threads, 1000, move |seed| {
-        let deployment = Deployment::uniform_square(24, 15.0, seed);
-        let mut sim = Simulation::new(deployment, make_channel(), seed, |_| {
-            Box::new(Knockout {
-                p: 0.25,
-                active: true,
-            })
-        });
-        if faulted {
-            sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-        }
-        sim.set_gain_cache_enabled(false);
-        sim.set_farfield_enabled(farfield);
-        sim.set_trace_level(TraceLevel::Full);
-        sim.run_until_resolved(20_000)
-    })
-}
-
 /// The engine-tier cross-product: farfield {on, off} × threads {1, 8} ×
 /// fault plan {none, stress} must all produce byte-identical results —
 /// the end-to-end restatement of the decision-exactness contract, with
@@ -337,22 +189,8 @@ fn assert_farfield_and_threads_invariant<F>(make_channel: F)
 where
     F: Fn() -> Box<dyn Channel> + Sync,
 {
-    let trials = 12;
-    for &faulted in &[false, true] {
-        let reference = run_farfield_batch(&make_channel, false, 1, trials, faulted);
-        assert!(
-            reference.iter().any(|r| r.resolved()),
-            "batch (faulted={faulted}) never resolved; too hard to be a useful oracle"
-        );
-        for &farfield in &[true, false] {
-            for &threads in &[1usize, 8] {
-                let got = run_farfield_batch(&make_channel, farfield, threads, trials, faulted);
-                assert_eq!(
-                    got, reference,
-                    "results diverged at farfield={farfield}, threads={threads}, faulted={faulted}"
-                );
-            }
-        }
+    for faulted in [false, true] {
+        assert_tier_and_threads_invariant(&make_channel, faulted);
     }
 }
 
@@ -375,29 +213,55 @@ fn lossy_results_invariant_under_farfield_and_thread_count() {
     });
 }
 
-#[test]
-fn simulation_exposes_farfield_state() {
-    let deployment = Deployment::uniform_square(16, 10.0, 7);
+fn knockout_sim(deploy_seed: u64, seed: u64) -> Simulation {
+    let deployment = Deployment::uniform_square(24, 15.0, deploy_seed);
     let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 7, |_| {
+    let mut sim = Simulation::new(deployment, Box::new(channel), seed, |_| {
         Box::new(Knockout {
             p: 0.25,
             active: true,
         })
     });
-    // A 16-node SINR sim builds both tiers, but the gain cache wins the
-    // default at this size: farfield is built yet dormant.
-    assert!(sim.gain_cache_active());
-    assert!(!sim.farfield_active(), "cache tier should win at n=16");
-    assert!(sim.farfield_engine().is_some(), "engine is built regardless");
-    sim.set_farfield_enabled(true);
-    assert!(sim.farfield_active());
-    assert_eq!(sim.farfield_engine().map(|e| e.num_active()), Some(16));
-    assert_eq!(
-        sim.farfield_stats().map(|s| s.rounds),
-        Some(0),
-        "no rounds resolved yet"
+    sim.set_trace_level(TraceLevel::Full);
+    sim
+}
+
+/// The far-field engine is built on the first round its tier serves, over
+/// the knockouts applied so far — enabling it mid-run builds nothing, and
+/// the run stays byte-identical to the exact one.
+#[test]
+fn farfield_engine_is_built_on_the_first_round_it_serves() {
+    let exact = knockout_sim(3, 17).run_until_resolved(20_000);
+    assert!(
+        exact.resolved_at() > Some(2),
+        "the seed must outlast the probe"
     );
+
+    let mut sim = knockout_sim(3, 17);
+    assert!(!sim.farfield_active(), "the exact tier serves at n = 24");
+    sim.step();
+    assert!(
+        sim.num_active() < sim.len(),
+        "round 1 must knock someone out"
+    );
+    assert!(
+        sim.farfield_engine().is_none(),
+        "no engine until its tier serves"
+    );
+    sim.set_farfield_enabled(true);
+    assert!(sim.farfield_engine().is_none(), "enabling builds nothing");
+    assert!(!sim.farfield_active());
+
+    sim.step();
+    assert!(sim.farfield_active());
+    assert_eq!(
+        sim.farfield_engine().map(|e| e.num_active()),
+        Some(sim.num_active()),
+        "the build replays earlier knockouts; later ones are mirrored"
+    );
+    assert_eq!(sim.farfield_stats().map(|s| s.rounds), Some(1));
+    assert_eq!(sim.run_until_resolved(20_000), exact);
+
     sim.set_farfield_enabled(false);
     assert!(!sim.farfield_active());
     assert!(sim.farfield_engine().is_some(), "disabling keeps it built");
@@ -405,18 +269,9 @@ fn simulation_exposes_farfield_state() {
 
 #[test]
 fn farfield_occupancy_shrinks_as_nodes_knock_out() {
-    let deployment = Deployment::uniform_square(24, 15.0, 3);
-    let channel = SinrChannel::new(params());
-    let mut sim = Simulation::new(deployment, Box::new(channel), 17, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    sim.set_gain_cache_enabled(false);
+    let mut sim = knockout_sim(3, 17);
     sim.set_farfield_enabled(true);
     sim.set_trace_level(TraceLevel::Counts);
-    assert_eq!(sim.farfield_engine().map(|e| e.num_active()), Some(24));
 
     let result = sim.run_until_resolved(20_000);
     assert!(result.resolved());
@@ -453,9 +308,9 @@ fn farfield_occupancy_shrinks_as_nodes_knock_out() {
 }
 
 #[test]
-fn radio_channel_has_no_cache_but_runs_identically() {
+fn radio_channel_has_no_engine_but_runs_identically() {
     use fading_channel::RadioChannel;
-    let run = |cached: bool| {
+    let run = |farfield: bool| {
         let deployment = Deployment::uniform_square(12, 10.0, 5);
         let mut sim = Simulation::new(deployment, Box::new(RadioChannel::new()), 5, |_| {
             Box::new(Knockout {
@@ -463,21 +318,12 @@ fn radio_channel_has_no_cache_but_runs_identically() {
                 active: true,
             })
         });
-        sim.set_gain_cache_enabled(cached);
+        sim.set_farfield_enabled(farfield);
         sim.set_trace_level(TraceLevel::Full);
-        sim.run_until_resolved(20_000)
+        let result = sim.run_until_resolved(20_000);
+        assert!(sim.farfield_engine().is_none(), "radio builds no engine");
+        assert_eq!(sim.engine_counters().exact_rounds, sim.round());
+        result
     };
-    let a = run(true);
-    let b = run(false);
-    assert_eq!(a, b);
-
-    let deployment = Deployment::uniform_square(12, 10.0, 5);
-    let sim = Simulation::new(deployment, Box::new(RadioChannel::new()), 5, |_| {
-        Box::new(Knockout {
-            p: 0.25,
-            active: true,
-        })
-    });
-    assert!(!sim.gain_cache_active());
-    assert_eq!(sim.active_interference_at(0), None);
+    assert_eq!(run(true), run(false));
 }

@@ -175,9 +175,10 @@ fn real_run_spans_nest_step_phases_and_round_trip_through_chrome_trace() {
             "{name:?} span's parent is not a step span"
         );
     }
-    // The n=20 SINR sim serves rounds through the gain cache, and the tier
-    // span says so.
-    assert!(spans.iter().any(|s| s.name == "resolve.gain_cache"));
+    // The n=20 SINR sim serves rounds through the exact scan, and the tier
+    // span says so; no engine is built for it.
+    assert!(spans.iter().any(|s| s.name == "resolve.exact"));
+    assert!(!spans.iter().any(|s| s.name.starts_with("build.")));
     // Chrome trace round trip is bit-exact on the real spans.
     let back = chrome::spans_from_chrome_trace(&chrome::spans_to_chrome_trace(&spans)).unwrap();
     assert_eq!(back, spans);
@@ -191,7 +192,7 @@ fn real_run_spans_round_trip_through_collapsed_flamegraph() {
     assert!(collapsed.iter().any(|(stack, _)| stack == "step"));
     assert!(collapsed
         .iter()
-        .any(|(stack, _)| stack == "step;resolve;resolve.gain_cache"));
+        .any(|(stack, _)| stack == "step;resolve;resolve.exact"));
     // Self-times sum to total root duration.
     let total: u64 = collapsed.iter().map(|(_, ns)| ns).sum();
     let roots: u64 = spans
@@ -207,7 +208,6 @@ fn real_run_spans_round_trip_through_collapsed_flamegraph() {
 #[test]
 fn real_run_counters_round_trip_through_prometheus_and_jsonl() {
     let mut sim = knockout_sim(24, 7, sinr_channel());
-    sim.set_gain_cache_enabled(false);
     sim.set_farfield_enabled(true);
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
@@ -252,14 +252,8 @@ fn real_run_metrics_registry_round_trips_through_prometheus() {
 /// engine configuration.
 #[test]
 fn counters_route_every_round_exactly_once_across_configurations() {
-    for (cache_on, farfield_on, want_sinr) in [
-        (true, false, false),
-        (false, false, false),
-        (false, true, false),
-        (true, false, true),
-    ] {
+    for (farfield_on, want_sinr) in [(false, false), (true, false), (false, true), (true, true)] {
         let mut sim = knockout_sim(20, 13, sinr_channel());
-        sim.set_gain_cache_enabled(cache_on);
         sim.set_farfield_enabled(farfield_on);
         if want_sinr {
             sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::full())));
@@ -270,16 +264,14 @@ fn counters_route_every_round_exactly_once_across_configurations() {
         assert_eq!(
             c.routed_rounds(),
             c.rounds,
-            "cache={cache_on} farfield={farfield_on} sinr={want_sinr}: \
+            "farfield={farfield_on} sinr={want_sinr}: \
              route counters must partition the rounds"
         );
         assert_eq!(c.rounds, sim.round());
-        let expected_path = if farfield_on {
-            ResolvePath::FarField
-        } else if want_sinr {
+        let expected_path = if want_sinr {
             ResolvePath::Instrumented
-        } else if cache_on {
-            ResolvePath::Cached
+        } else if farfield_on {
+            ResolvePath::FarField
         } else {
             ResolvePath::Exact
         };
@@ -288,14 +280,12 @@ fn counters_route_every_round_exactly_once_across_configurations() {
             c.rounds,
             "every round should take the configured path"
         );
-        assert!(c.gain_cache_built, "n=20 SINR builds a cache");
-        if !cache_on && !farfield_on {
-            assert_eq!(
-                c.gain_cache_bypassed_rounds, c.rounds,
-                "disabled cache counts as bypassed every round"
-            );
-        }
-        if farfield_on {
+        // Only a tier that served a round has an engine.
+        assert_eq!(
+            sim.farfield_engine().is_some(),
+            expected_path == ResolvePath::FarField
+        );
+        if expected_path == ResolvePath::FarField {
             assert_eq!(
                 c.farfield.fast_decisions()
                     + c.farfield.noise_floor_silences
@@ -310,20 +300,45 @@ fn counters_route_every_round_exactly_once_across_configurations() {
 }
 
 #[test]
-fn radio_channel_runs_report_exact_route_and_no_cache() {
+fn radio_channel_runs_report_exact_route_and_no_engine() {
     let mut sim = knockout_sim(12, 5, Box::new(RadioChannel::new()));
+    sim.set_farfield_enabled(true);
     let result = sim.run_until_resolved(5_000);
     assert!(result.resolved());
     let c = sim.engine_counters();
-    assert!(!c.gain_cache_built, "the radio channel builds no cache");
     assert_eq!(c.exact_rounds, c.rounds);
-    assert_eq!(c.gain_cache_bypassed_rounds, 0);
+    assert!(
+        sim.farfield_engine().is_none(),
+        "the radio channel builds no far-field engine"
+    );
+}
+
+#[test]
+fn lazy_engine_build_is_traced_once_under_the_first_step() {
+    let tracer = Tracer::new();
+    let mut sim = knockout_sim(20, 42, sinr_channel());
+    sim.set_farfield_enabled(true);
+    sim.set_tracer(Arc::clone(&tracer));
+    let result = sim.run_until_resolved(5_000);
+    assert!(result.resolved());
+    let spans = tracer.finished_spans();
+    let builds: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "build.farfield")
+        .collect();
+    assert_eq!(builds.len(), 1, "the engine is built exactly once");
+    let first_step = spans
+        .iter()
+        .filter(|s| s.name == "step")
+        .min_by_key(|s| s.start_ns)
+        .expect("step spans");
+    assert_eq!(builds[0].parent, Some(first_step.id));
+    assert!(spans.iter().any(|s| s.name == "resolve.farfield"));
 }
 
 #[test]
 fn telemetry_events_carry_resolve_path_and_farfield_fallback_deltas() {
     let mut sim = knockout_sim(24, 9, sinr_channel());
-    sim.set_gain_cache_enabled(false);
     sim.set_farfield_enabled(true);
     sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
     let result = sim.run_until_resolved(5_000);

@@ -69,8 +69,8 @@ fn stress_plan() -> FaultPlan {
 }
 
 /// One seeded trial batch with the hierarchical tier and resolve-thread
-/// count under test. The gain cache is disabled so every round actually
-/// routes through the tier being compared (hierarchical vs. exact).
+/// count under test. At this size the tier's only alternative is the
+/// exact scan, so the comparison is hierarchical vs. exact.
 fn run_hier_batch<F>(
     make_channel: &F,
     hierarchical: bool,
@@ -92,7 +92,6 @@ where
         if faulted {
             sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
         }
-        sim.set_gain_cache_enabled(false);
         sim.set_hierarchical_enabled(hierarchical);
         sim.set_resolve_threads(resolve_threads);
         sim.set_trace_level(TraceLevel::Full);
@@ -236,7 +235,8 @@ fn adversarial_sleeps_cannot_leak_completion_order_into_results() {
 }
 
 /// API surface: the hierarchical tier is dormant below the auto
-/// threshold, builds on demand, tracks knockout occupancy, and the
+/// threshold, builds on the first round it serves (never building the
+/// flat engine it outranks), tracks knockout occupancy, and the
 /// resolve-pool width is a visible, settable knob.
 #[test]
 fn simulation_exposes_hierarchical_state() {
@@ -255,17 +255,22 @@ fn simulation_exposes_hierarchical_state() {
     assert!(sim.hierarchical_engine().is_none(), "not built eagerly");
     assert_eq!(sim.resolve_threads(), 1, "serial resolve by default");
 
-    sim.set_gain_cache_enabled(false);
     sim.set_hierarchical_enabled(true);
+    sim.set_farfield_enabled(true);
     sim.set_resolve_threads(8);
-    assert!(sim.hierarchical_active());
     assert_eq!(sim.resolve_threads(), 8);
+    assert!(
+        sim.hierarchical_engine().is_none(),
+        "built on the first round it serves, not on enable"
+    );
+    sim.step();
+    assert!(sim.hierarchical_active());
     assert_eq!(
         sim.hierarchical_engine().map(|e| e.num_active()),
-        Some(24),
-        "on-demand build syncs occupancy with the live set"
+        Some(sim.num_active()),
+        "the lazy build syncs occupancy with the live set"
     );
-    assert_eq!(sim.hierarchical_stats().map(|s| s.rounds), Some(0));
+    assert_eq!(sim.hierarchical_stats().map(|s| s.rounds), Some(1));
 
     let result = sim.run_until_resolved(20_000);
     assert!(result.resolved());
@@ -282,6 +287,11 @@ fn simulation_exposes_hierarchical_state() {
         stats.fast_decisions() + stats.noise_floor_silences + stats.exact_fallbacks(),
         stats.listeners_resolved(),
         "rung counters must reconcile with listeners resolved"
+    );
+
+    assert!(
+        sim.farfield_engine().is_none(),
+        "the hierarchical tier outranks the flat one, which is never built"
     );
 
     sim.set_hierarchical_enabled(false);

@@ -1,8 +1,8 @@
 //! Checkpoint/resume end-to-end: a snapshot taken mid-run under an active
 //! kitchen-sink fault plan must resume **byte-identically** on every
-//! engine tier — exact scan, gain cache, flat far-field, hierarchical —
-//! and a corrupted snapshot must fail loudly with a typed error, never
-//! restore garbage.
+//! engine tier — exact scan, flat far-field, hierarchical — and a
+//! corrupted snapshot must fail loudly with a typed error, never restore
+//! garbage.
 
 use fading_channel::{Reception, SinrChannel, SinrParams};
 use fading_geom::{Deployment, Point};
@@ -72,15 +72,14 @@ fn stress_plan() -> FaultPlan {
         .with_loss(GilbertElliott::new(0.15, 0.3, 0.02, 0.7).expect("valid"))
 }
 
-/// The four engine tiers: (label, gain cache, far-field, hierarchical).
-const TIERS: [(&str, bool, bool, bool); 4] = [
-    ("exact", false, false, false),
-    ("gain-cache", true, false, false),
-    ("farfield", false, true, false),
-    ("hierarchical", false, false, true),
+/// The three engine tiers: (label, far-field, hierarchical).
+const TIERS: [(&str, bool, bool); 3] = [
+    ("exact", false, false),
+    ("farfield", true, false),
+    ("hierarchical", false, true),
 ];
 
-fn build_sim(seed: u64, cache: bool, farfield: bool, hierarchical: bool) -> Simulation {
+fn build_sim(seed: u64, farfield: bool, hierarchical: bool) -> Simulation {
     let deployment = Deployment::uniform_square(24, 15.0, seed);
     let mut sim = Simulation::new(
         deployment,
@@ -94,7 +93,6 @@ fn build_sim(seed: u64, cache: bool, farfield: bool, hierarchical: bool) -> Simu
         },
     );
     sim.set_fault_plan(stress_plan()).expect("plan fits deployment");
-    sim.set_gain_cache_enabled(cache);
     sim.set_farfield_enabled(farfield);
     sim.set_hierarchical_enabled(hierarchical);
     sim.set_trace_level(TraceLevel::Full);
@@ -104,22 +102,21 @@ fn build_sim(seed: u64, cache: bool, farfield: bool, hierarchical: bool) -> Simu
 /// Interrupt after `cut` rounds, serialize the snapshot through its byte
 /// codec, restore into a *fresh* simulation, and require the resumed
 /// result to equal the uninterrupted one — traces included.
-fn assert_resume_identical(label: &str, cache: bool, farfield: bool, hierarchical: bool) {
+fn assert_resume_identical(label: &str, farfield: bool, hierarchical: bool) {
     for seed in [3u64, 19, 71] {
-        let uninterrupted = build_sim(seed, cache, farfield, hierarchical)
-            .run_until_resolved(20_000);
+        let uninterrupted = build_sim(seed, farfield, hierarchical).run_until_resolved(20_000);
 
         // Cut mid-churn: after round 7 the crash (round 6) has fired but
         // the revive (round 12) is pending, the jammer budget and the
         // Gilbert–Elliott chain are mid-flight.
-        let mut victim = build_sim(seed, cache, farfield, hierarchical);
+        let mut victim = build_sim(seed, farfield, hierarchical);
         for _ in 0..7 {
             victim.step();
         }
         let bytes = victim.snapshot().to_bytes();
         let snap = SimSnapshot::from_bytes(&bytes).expect("snapshot codec round-trips");
 
-        let mut resumed = build_sim(seed, cache, farfield, hierarchical);
+        let mut resumed = build_sim(seed, farfield, hierarchical);
         resumed.restore(&snap).expect("snapshot fits the fresh twin");
         let result = resumed.run_until_resolved(20_000);
         assert_eq!(
@@ -131,8 +128,57 @@ fn assert_resume_identical(label: &str, cache: bool, farfield: bool, hierarchica
 
 #[test]
 fn resume_is_byte_identical_on_every_tier_under_faults() {
-    for (label, cache, farfield, hierarchical) in TIERS {
-        assert_resume_identical(label, cache, farfield, hierarchical);
+    for (label, farfield, hierarchical) in TIERS {
+        assert_resume_identical(label, farfield, hierarchical);
+    }
+}
+
+/// A snapshot taken before any engine was built records none; the resumed
+/// twin stays engine-free until the first round its tier serves, then
+/// builds the engine over the knockouts and crashes applied so far.
+#[test]
+fn snapshot_without_an_engine_resumes_identically_and_builds_lazily() {
+    let seed = 19;
+    let uninterrupted = build_sim(seed, false, false).run_until_resolved(20_000);
+
+    let mut victim = build_sim(seed, false, false);
+    for _ in 0..7 {
+        victim.step();
+    }
+    victim.set_farfield_enabled(true);
+    assert!(victim.farfield_engine().is_none(), "no round served yet");
+    let snap = SimSnapshot::from_bytes(&victim.snapshot().to_bytes()).expect("codec");
+
+    let mut resumed = build_sim(seed, false, false);
+    resumed.restore(&snap).expect("snapshot fits");
+    assert!(
+        resumed.farfield_engine().is_none(),
+        "restore builds no engine"
+    );
+    resumed.step();
+    let engine = resumed
+        .farfield_engine()
+        .expect("the first served round builds it");
+    assert_eq!(engine.num_active(), resumed.num_active());
+    let result = resumed.run_until_resolved(20_000);
+    assert_eq!(result, uninterrupted, "resume must be byte-identical");
+    assert!(resumed.engine_counters().farfield_rounds > 0);
+}
+
+/// Version 1 snapshots carried the removed gain-cache counters; they are
+/// refused by version, not misread as corrupt.
+#[test]
+fn version_one_snapshot_is_a_version_mismatch() {
+    let mut sim = build_sim(5, false, false);
+    sim.step();
+    let mut bytes = sim.snapshot().to_bytes();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    match SimSnapshot::from_bytes(&bytes) {
+        Err(SnapshotError::VersionMismatch {
+            found: 1,
+            supported: 2,
+        }) => {}
+        other => panic!("a v1 snapshot must be a VersionMismatch, got {other:?}"),
     }
 }
 
@@ -140,7 +186,7 @@ fn resume_is_byte_identical_on_every_tier_under_faults() {
 fn resume_with_self_check_enabled_is_byte_identical() {
     let seed = 23;
     let build = || {
-        let mut sim = build_sim(seed, false, true, false);
+        let mut sim = build_sim(seed, true, false);
         sim.set_self_check(2);
         sim
     };
@@ -163,7 +209,7 @@ fn resume_with_self_check_enabled_is_byte_identical() {
 
 #[test]
 fn corrupted_snapshot_fails_loudly_with_a_typed_error() {
-    let mut sim = build_sim(5, true, false, false);
+    let mut sim = build_sim(5, false, false);
     for _ in 0..4 {
         sim.step();
     }

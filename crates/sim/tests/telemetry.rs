@@ -1,5 +1,6 @@
 //! Telemetry integration suite: the determinism matrix (sink on/off ×
-//! cache on/off × threads 1/8, clean and faulted, across channel models),
+//! far-field tier on/off × threads 1/8, clean and faulted, across channel
+//! models),
 //! JSONL round-trips, the `active_before` late-wake regression, the trace
 //! record cap, and active-set replay.
 
@@ -95,7 +96,7 @@ enum Sink {
 fn run_matrix_cell(
     channel: &str,
     seed: u64,
-    cache_on: bool,
+    farfield_on: bool,
     sink: Sink,
     faulted: bool,
 ) -> (RunResult, Option<MemorySink>) {
@@ -109,7 +110,7 @@ fn run_matrix_cell(
     if faulted {
         sim.set_fault_plan(everything_plan()).unwrap();
     }
-    sim.set_gain_cache_enabled(cache_on);
+    sim.set_farfield_enabled(farfield_on);
     sim.set_trace_level(TraceLevel::Full);
     match sink {
         Sink::None => {}
@@ -122,14 +123,14 @@ fn run_matrix_cell(
 }
 
 /// The core non-perturbation contract: for every channel model, fault
-/// setting, cache setting, and sink detail level, the `RunResult` is
-/// byte-identical to the sink-free cached baseline.
+/// setting, engine tier (exact or far-field), and sink detail level, the
+/// `RunResult` is byte-identical to the sink-free exact baseline.
 #[test]
 fn telemetry_never_perturbs_any_channel_or_fault_setting() {
     for channel in ["sinr", "rayleigh", "lossy", "radio"] {
         for faulted in [false, true] {
-            let (baseline, _) = run_matrix_cell(channel, 42, true, Sink::None, faulted);
-            for cache_on in [true, false] {
+            let (baseline, _) = run_matrix_cell(channel, 42, false, Sink::None, faulted);
+            for farfield_on in [true, false] {
                 for sink in [
                     Sink::None,
                     Sink::Noop,
@@ -137,11 +138,11 @@ fn telemetry_never_perturbs_any_channel_or_fault_setting() {
                     Sink::Memory(TelemetryDetail::ids()),
                     Sink::Memory(TelemetryDetail::full()),
                 ] {
-                    let (result, _) = run_matrix_cell(channel, 42, cache_on, sink, faulted);
+                    let (result, _) = run_matrix_cell(channel, 42, farfield_on, sink, faulted);
                     assert_eq!(
                         result, baseline,
-                        "{channel} faulted={faulted} cache={cache_on} sink={sink:?}: \
-                         telemetry or cache setting perturbed the run"
+                        "{channel} faulted={faulted} farfield={farfield_on} sink={sink:?}: \
+                         telemetry or tier setting perturbed the run"
                     );
                 }
             }
@@ -244,7 +245,7 @@ fn line_deployment(n: usize) -> Deployment {
 /// raw pre-churn active count.
 #[test]
 fn late_wake_active_before_counts_participants_only() {
-    let build = |cache_on: bool| {
+    let build = |farfield_on: bool| {
         let mut sim = Simulation::new(line_deployment(4), make_channel("radio"), 0, |_| {
             Box::new(AlwaysTx)
         });
@@ -253,18 +254,18 @@ fn late_wake_active_before_counts_participants_only() {
             .with_churn(ChurnEvent::late_wake(4, 2).unwrap())
             .with_churn(ChurnEvent::late_wake(4, 3).unwrap());
         sim.set_fault_plan(plan).unwrap();
-        sim.set_gain_cache_enabled(cache_on);
+        sim.set_farfield_enabled(farfield_on);
         sim.set_trace_level(TraceLevel::Counts);
         sim.set_telemetry_sink(Box::new(MemorySink::new(TelemetryDetail::counts())));
         sim
     };
-    for cache_on in [true, false] {
-        let mut sim = build(cache_on);
+    for farfield_on in [true, false] {
+        let mut sim = build(farfield_on);
         let result = sim.run_until_resolved(1);
         let record = &result.trace().rounds()[0];
         // Only node 0 is awake in round 1: one participant, who transmits
         // solo and resolves. The pre-fix code reported 4 here.
-        assert_eq!(record.active_before, 1, "cache={cache_on}");
+        assert_eq!(record.active_before, 1, "farfield={farfield_on}");
         assert_eq!(record.transmitters, 1);
         assert_eq!(result.resolved_at(), Some(1));
 
