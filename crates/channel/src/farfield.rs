@@ -65,7 +65,7 @@
 use fading_geom::{Point, PointsSoA, TileIndex};
 
 use crate::kernels::{gain_batch, pow_alpha_batch, ScanScratch};
-use crate::sinr::{scan_transmitters_batched, ScanOutcome};
+use crate::sinr::{exact_reception, scan_transmitters_batched};
 use crate::{ChannelPerturbation, NodeId, Reception, SinrParams};
 
 /// Average number of nodes per tile the engine aims for when sizing the
@@ -168,6 +168,21 @@ impl FarFieldStats {
         } else {
             self.exact_fallbacks() as f64 / total as f64
         }
+    }
+}
+
+/// Counter-wise sum: every field is a u64 count, so merging per-chunk,
+/// per-engine or per-simulation stats in any order gives the same totals.
+impl std::ops::AddAssign for FarFieldStats {
+    fn add_assign(&mut self, other: FarFieldStats) {
+        self.rounds += other.rounds;
+        self.empty_round_silences += other.empty_round_silences;
+        self.nonfinite_fallbacks += other.nonfinite_fallbacks;
+        self.noise_floor_silences += other.noise_floor_silences;
+        self.no_near_winner_fallbacks += other.no_near_winner_fallbacks;
+        self.far_rival_fallbacks += other.far_rival_fallbacks;
+        self.bracket_decisions += other.bracket_decisions;
+        self.bracket_straddle_fallbacks += other.bracket_straddle_fallbacks;
     }
 }
 
@@ -564,25 +579,14 @@ impl FarFieldEngine {
                     extra,
                     beta,
                 },
-                || {
-                    // Exact fallback: the canonical batched scan over
-                    // *all* transmitters — bit-identical to SinrChannel by
-                    // sharing its kernels and fold.
-                    let ScanOutcome {
-                        total,
-                        best_sig,
-                        best_tx,
-                    } = scan_transmitters_batched(p, alpha, v, vp, transmitters, &mut scan);
-                    let denom = match extra {
-                        Some(e) => noise + e + (total - best_sig),
-                        None => noise + (total - best_sig),
-                    };
-                    match best_tx {
-                        Some(u) if best_sig >= beta * denom => Reception::Message { from: u },
-                        _ => Reception::Silence,
-                    }
-                },
-            );
+            )
+            .unwrap_or_else(|| {
+                // Exact fallback: the canonical batched scan over *all*
+                // transmitters — bit-identical to SinrChannel by sharing
+                // its kernels and fold.
+                let outcome = scan_transmitters_batched(p, alpha, v, vp, transmitters, &mut scan);
+                exact_reception(outcome, noise, extra, beta)
+            });
             out.push(reception);
         }
         self.scan = scan;
@@ -608,13 +612,10 @@ pub(crate) struct DecisionInputs {
 /// The decision ladder (module docs, "decision-exactness contract"),
 /// shared by the flat [`FarFieldEngine`] and the hierarchical engine — the
 /// correctness argument only depends on the *bracket* inputs, not on how
-/// they were aggregated. `fallback` runs the canonical exact scan when no
-/// rung is conclusive; `stats` receives exactly one rung increment.
-pub(crate) fn decide_ladder(
-    stats: &mut FarFieldStats,
-    inp: DecisionInputs,
-    fallback: impl FnOnce() -> Reception,
-) -> Reception {
+/// they were aggregated. `stats` receives exactly one rung increment.
+/// `None` means no rung was conclusive and the caller must run the
+/// canonical exact scan; that fallback rung is already counted.
+pub(crate) fn decide_ladder(stats: &mut FarFieldStats, inp: DecisionInputs) -> Option<Reception> {
     let DecisionInputs {
         near_sum,
         best_sig,
@@ -630,7 +631,7 @@ pub(crate) fn decide_ladder(
     // touching tile boxes) voids the bracket reasoning entirely.
     if !(near_sum.is_finite() && far_hi.is_finite() && far_cap.is_finite()) {
         stats.nonfinite_fallbacks += 1;
-        return fallback();
+        return None;
     }
     let base = match extra {
         Some(e) => noise + e,
@@ -640,19 +641,19 @@ pub(crate) fn decide_ladder(
     // the exact best signal is ≤ max(near best, far cap).
     if best_sig.max(far_cap) < beta * base {
         stats.noise_floor_silences += 1;
-        return Reception::Silence;
+        return Some(Reception::Silence);
     }
     // Rung 3: no near candidate, yet rung 2 could not rule out a far
     // decode — only the exact scan can name the winner.
     let Some(from) = best_tx else {
         stats.no_near_winner_fallbacks += 1;
-        return fallback();
+        return None;
     };
     // Rung 4: the near best must strictly dominate every possible far
     // signal, or the canonical winner might be a far transmitter.
     if far_cap >= best_sig {
         stats.far_rival_fallbacks += 1;
-        return fallback();
+        return None;
     }
     // Rung 5: bracket the canonical interference and require the
     // decision to be invariant across it.
@@ -668,14 +669,14 @@ pub(crate) fn decide_ladder(
     let msg_hi = best_sig >= beta * denom_hi;
     if msg_lo == msg_hi {
         stats.bracket_decisions += 1;
-        if msg_hi {
+        Some(if msg_hi {
             Reception::Message { from }
         } else {
             Reception::Silence
-        }
+        })
     } else {
         stats.bracket_straddle_fallbacks += 1;
-        fallback()
+        None
     }
 }
 
@@ -785,6 +786,29 @@ mod tests {
         assert!(rx.iter().all(|r| *r == Reception::Silence));
         assert_eq!(engine.stats().empty_round_silences, pos.len() as u64);
         assert_eq!(engine.stats().fast_decisions(), pos.len() as u64);
+    }
+
+    #[test]
+    fn stats_add_assign_sums_every_counter() {
+        let one = FarFieldStats {
+            rounds: 1,
+            empty_round_silences: 2,
+            nonfinite_fallbacks: 3,
+            noise_floor_silences: 4,
+            no_near_winner_fallbacks: 5,
+            far_rival_fallbacks: 6,
+            bracket_decisions: 7,
+            bracket_straddle_fallbacks: 8,
+        };
+        let mut sum = one;
+        sum += one;
+        assert_eq!(sum.rounds, 2);
+        assert_eq!(sum.listeners_resolved(), 2 * one.listeners_resolved());
+        assert_eq!(sum.exact_fallbacks(), 2 * one.exact_fallbacks());
+        assert_eq!(sum.fast_decisions(), 2 * one.fast_decisions());
+        assert_eq!(sum.noise_floor_silences, 2 * one.noise_floor_silences);
+        sum += FarFieldStats::default();
+        assert_eq!(sum.listeners_resolved(), 2 * one.listeners_resolved());
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub use farfield::{
 };
 pub use hierarchical::{
     HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_CHUNK, HIER_MAX_TILES_PER_SIDE,
-    HIER_TARGET_TILE_OCCUPANCY,
+    HIER_NEAR_RING, HIER_TARGET_TILE_OCCUPANCY,
 };
 pub use lossy::LossySinrChannel;
 pub use params::{SinrParams, SinrParamsBuilder, DEFAULT_SINGLE_HOP_MARGIN};

@@ -115,6 +115,30 @@ pub(crate) fn scan_transmitters_soa(
     }
 }
 
+/// The canonical SINR test on a finished scan: the far-field engines'
+/// exact fallbacks end here. The denominator grouping is the one
+/// `SinrChannel::resolve_core` uses, clean (`extra = None`) or perturbed.
+#[inline]
+pub(crate) fn exact_reception(
+    ScanOutcome {
+        total,
+        best_sig,
+        best_tx,
+    }: ScanOutcome,
+    noise: f64,
+    extra: Option<f64>,
+    beta: f64,
+) -> Reception {
+    let denom = match extra {
+        Some(e) => noise + e + (total - best_sig),
+        None => noise + (total - best_sig),
+    };
+    match best_tx {
+        Some(u) if best_sig >= beta * denom => Reception::Message { from: u },
+        _ => Reception::Silence,
+    }
+}
+
 /// The paper's fading channel: reception is governed exactly by the SINR
 /// inequality (Equation 1).
 ///

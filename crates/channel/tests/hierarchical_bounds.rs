@@ -13,7 +13,7 @@
 
 use fading_channel::{
     pow_alpha, Channel, ChannelPerturbation, HierarchicalFarFieldEngine, Reception,
-    SerialExecutor, SinrChannel, SinrParams, NEAR_RING,
+    SerialExecutor, SinrChannel, SinrParams, HIER_NEAR_RING,
 };
 use fading_geom::{Point, TileTree};
 use proptest::prelude::*;
@@ -262,7 +262,7 @@ fn coarse_knife_edge_margin_forces_exact_fallback() {
         let t0 = tree.fine().tile_of(0);
         let tc = tree.fine().tile_of(2);
         assert!(
-            tree.fine().chebyshev(t0, tc) > NEAR_RING,
+            tree.fine().chebyshev(t0, tc) > HIER_NEAR_RING,
             "test geometry regressed: far cluster fell inside the near ring"
         );
         // Level-1 node (2, 2) covers fine tiles (4..6)²: it holds exactly
@@ -327,7 +327,7 @@ fn far_only_sender_forces_fallback_and_decodes() {
         let tree = engine.as_ref().unwrap().tree();
         let t0 = tree.fine().tile_of(0);
         let t1 = tree.fine().tile_of(1);
-        assert!(tree.fine().chebyshev(t0, t1) > NEAR_RING);
+        assert!(tree.fine().chebyshev(t0, t1) > HIER_NEAR_RING);
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(21));

@@ -15,11 +15,16 @@
 //! **clustered** fields (tight blobs separated by hundreds of units, so
 //! coarse aggregates are accepted levels above the fine tiles) and
 //! **corridor** fields (long thin strips, so the ceil-halving pyramid
-//! degenerates to 1×k levels).
+//! degenerates to 1×k levels). A deterministic clustered round pins the
+//! round-level paths: batched exact fallbacks (full and partial
+//! `LISTENER_BLOCK` groups), ring clipping at corner tiles, and multiple
+//! prepare and decide tasks under a reversed executor.
 
+use fading_channel::kernels::LISTENER_BLOCK;
 use fading_channel::{
-    Channel, ChannelPerturbation, HierarchicalFarFieldEngine, LossySinrChannel, RadioChannel,
-    RayleighSinrChannel, Reception, SerialExecutor, SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, ChunkExecutor, HierarchicalFarFieldEngine, LossySinrChannel,
+    RadioChannel, RayleighSinrChannel, Reception, SerialExecutor, SinrChannel, SinrParams,
+    HIER_CHUNK, HIER_NEAR_RING,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -444,4 +449,108 @@ fn pruned_path_settles_decisions_on_spread_deployments() {
         stats.listeners_resolved(),
         "rung counters must reconcile with listeners resolved: {stats:?}"
     );
+}
+
+/// Runs tasks in reverse index order: a legal schedule under the
+/// `ChunkExecutor` contract that differs from `SerialExecutor`'s, so any
+/// dependence of results on task order shows up as a mismatch.
+struct ReverseExecutor;
+
+impl ChunkExecutor for ReverseExecutor {
+    fn run(&self, num_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+        for i in (0..num_tasks).rev() {
+            task(i);
+        }
+    }
+}
+
+/// One round that drives every pass of the tree engine past its task
+/// boundaries. A 40 × 40 lattice (every tenth node transmits) fills 100
+/// of 4096 fine tiles, so the prepare pass has more than one 64-tile task
+/// and the decide pass more than one [`HIER_CHUNK`]. A tight cluster of
+/// 77 listeners sits in the far corner tile, with no transmitter within
+/// [`HIER_NEAR_RING`] tiles and a noise floor low enough that the far cap
+/// clears it: each of them exits the ladder at rung 3, so the fallback
+/// pass gets two full [`LISTENER_BLOCK`] groups plus a partial one. A lone
+/// transmitter three tiles from the cluster outshines the distant lattice,
+/// so the exact scan must name it as the cluster's sender. A listener at
+/// the origin puts the ring's clipping at the opposite corner too.
+/// Receptions must equal the exact scan under both executors.
+#[test]
+fn clustered_round_batches_fallbacks_and_clips_corner_rings() {
+    let params = params_with(3.0, 2.0, 1e-9, 1.0);
+    let ch = SinrChannel::new(params);
+    let mut positions: Vec<Point> = (0..1600)
+        .map(|i| Point::new((i % 40) as f64 * 4.0, (i / 40) as f64 * 4.0))
+        .collect();
+    let lone = positions.len();
+    positions.push(Point::new(950.0, 1000.0));
+    let cluster = 77u64;
+    positions.extend((0..cluster).map(|i| {
+        Point::new(
+            1000.0 + (i % 9) as f64 * 0.25,
+            1000.0 + (i / 9) as f64 * 0.25,
+        )
+    }));
+    let mut tx: Vec<usize> = (0..1600).filter(|i| i % 10 == 3).collect();
+    tx.push(lone);
+    let ls: Vec<usize> = (0..positions.len()).filter(|i| !tx.contains(i)).collect();
+    assert!(ls.len() > HIER_CHUNK, "need more than one decide chunk");
+
+    let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(5));
+    assert!(
+        exact[ls.len() - cluster as usize..]
+            .iter()
+            .all(|r| *r == Reception::Message { from: lone }),
+        "the lone transmitter must reach every cluster listener"
+    );
+    let executors: [&dyn ChunkExecutor; 2] = [&SerialExecutor, &ReverseExecutor];
+    for executor in executors {
+        let mut engine = HierarchicalFarFieldEngine::build_with_tiling(&positions, &params, 64)
+            .expect("finite deployment");
+        {
+            let fine = engine.tree().fine();
+            let corner = fine.tile_of(lone + 1);
+            assert_eq!(
+                corner,
+                fine.num_tiles() - 1,
+                "cluster must sit in the corner tile"
+            );
+            assert_eq!(
+                fine.tile_of(0),
+                0,
+                "origin listener must sit in the corner tile"
+            );
+            let mut tiles: Vec<usize> = ls.iter().map(|&v| fine.tile_of(v)).collect();
+            tiles.sort_unstable();
+            tiles.dedup();
+            assert!(tiles.len() > 64, "need more than one 64-tile prepare task");
+            assert!(
+                tx.iter()
+                    .all(|&u| fine.chebyshev(corner, fine.tile_of(u)) > HIER_NEAR_RING),
+                "the cluster's near ring must hold no transmitter"
+            );
+        }
+        let fast = ch.resolve_hierarchical(
+            &positions,
+            &tx,
+            &ls,
+            Some(&mut engine),
+            executor,
+            &ChannelPerturbation::neutral(),
+            &mut SmallRng::seed_from_u64(5),
+        );
+        assert_eq!(exact, fast, "tree engine diverged from the exact scan");
+        let stats = engine.stats();
+        assert_eq!(stats.listeners_resolved(), ls.len() as u64, "{stats:?}");
+        assert!(
+            stats.no_near_winner_fallbacks >= cluster,
+            "every cluster listener must take rung 3: {stats:?}"
+        );
+        let block = LISTENER_BLOCK as u64;
+        assert!(
+            stats.exact_fallbacks() > 2 * block && !stats.exact_fallbacks().is_multiple_of(block),
+            "need two full fallback groups and a partial one: {stats:?}"
+        );
+    }
 }

@@ -145,15 +145,7 @@ impl EngineCounters {
         self.self_check_samples += other.self_check_samples;
         self.self_check_violations += other.self_check_violations;
         self.tier_demotions += other.tier_demotions;
-        let f = &other.farfield;
-        self.farfield.rounds += f.rounds;
-        self.farfield.empty_round_silences += f.empty_round_silences;
-        self.farfield.nonfinite_fallbacks += f.nonfinite_fallbacks;
-        self.farfield.noise_floor_silences += f.noise_floor_silences;
-        self.farfield.no_near_winner_fallbacks += f.no_near_winner_fallbacks;
-        self.farfield.far_rival_fallbacks += f.far_rival_fallbacks;
-        self.farfield.bracket_decisions += f.bracket_decisions;
-        self.farfield.bracket_straddle_fallbacks += f.bracket_straddle_fallbacks;
+        self.farfield += other.farfield;
     }
 }
 

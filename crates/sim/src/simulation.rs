@@ -729,14 +729,7 @@ impl Simulation {
         // aggregates their per-rung stats into one block.
         let mut ff = self.farfield.stats().unwrap_or_default();
         if let Some(h) = self.hierarchical.stats() {
-            ff.rounds += h.rounds;
-            ff.empty_round_silences += h.empty_round_silences;
-            ff.nonfinite_fallbacks += h.nonfinite_fallbacks;
-            ff.noise_floor_silences += h.noise_floor_silences;
-            ff.no_near_winner_fallbacks += h.no_near_winner_fallbacks;
-            ff.far_rival_fallbacks += h.far_rival_fallbacks;
-            ff.bracket_decisions += h.bracket_decisions;
-            ff.bracket_straddle_fallbacks += h.bracket_straddle_fallbacks;
+            ff += h;
         }
         c.farfield = ff;
         c
