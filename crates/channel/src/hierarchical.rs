@@ -15,16 +15,15 @@
 //! # The traversal
 //!
 //! Per round, transmitters are counting-sorted by fine tile into one flat
-//! layout (coordinates and `(node, slice index)` entries, slice order
-//! within a tile, per-tile offsets) and their counts propagated up the
-//! tree (only nodes actually touched are visited). The near field of a
-//! listener is its fine tile's [`HIER_NEAR_RING`]-Chebyshev neighbourhood
-//! (5×5 tiles, clipped at the grid edge); in the tile-sorted layout each
-//! of its rows is one contiguous span, so the exact near scan is one fused
-//! gain batch per row. For each distinct listener tile the engine walks
-//! the tree from the root:
+//! layout (coordinates and slice indices, slice order within a tile,
+//! per-tile offsets) and their counts propagated up the tree (only nodes
+//! actually touched are visited). The near field of a listener is its fine
+//! tile's [`HIER_NEAR_RING`]-Chebyshev neighbourhood (5×5 tiles, clipped
+//! at the grid edge); in the tile-sorted layout each of its rows is one
+//! contiguous span. For each listener tile the engine walks the tree from
+//! the root:
 //!
-//! * nodes with no transmitters beneath them are skipped;
+//! * only nodes with transmitters beneath them are ever pushed;
 //! * nodes whose fine-tile span intersects the listener's near ring are
 //!   descended (their mass may include near transmitters, which the exact
 //!   near scan owns);
@@ -45,41 +44,40 @@
 //!
 //! # In-round parallelism
 //!
-//! A round runs three passes on a [`ChunkExecutor`], each split into
-//! fixed-size tasks (independent of thread count). Every task reads only
-//! round state fixed before its pass and writes only its own engine-owned
-//! slot or its own listeners' receptions; slots are merged serially in
-//! task-index order, so any executor scheduling produces byte-identical
-//! results:
+//! Listeners are counting-sorted by fine tile too, so each listener tile
+//! owns one contiguous run of the sorted listener order. A round then runs
+//! two passes on a [`ChunkExecutor`], each split into fixed-size tasks
+//! (independent of thread count). Every task reads only round state fixed
+//! before its pass and writes only its own engine-owned slot or its own
+//! listeners' receptions; slots are merged serially in task-index order,
+//! so any executor scheduling produces byte-identical results:
 //!
-//! 1. **Prepare.** The distinct listener tiles are collected serially in
-//!    first-seen order; one traversal per tile then runs in tasks of
-//!    `PREPARE_TILE_CHUNK` tiles. Each tile's aggregate comes from the
-//!    same serial traversal whatever the thread count.
-//! 2. **Decide.** Listeners are split into [`HIER_CHUNK`]-sized chunks;
-//!    each listener gets the exact near scan plus its tile's far bracket
-//!    through the ladder. A listener the ladder cannot settle is
-//!    recorded as pending (its rung already counted) instead of being
-//!    scanned on the spot. Per-chunk ladder counters are summed (u64
-//!    addition — commutative).
-//! 3. **Fallback.** The pending listeners, in listener order, are
-//!    resolved by the canonical exact scan in groups of
-//!    [`LISTENER_BLOCK`]: a full group runs the fused [`scan_block`]
-//!    kernel, the one shorter trailing group the per-listener
-//!    `scan_transmitters_soa`. Both are bit-identical to the exact
-//!    channel, and group boundaries depend only on the pending list.
+//! 1. **Traverse and decide.** Each task takes [`HIER_TILE_TASK`]
+//!    consecutive listener tiles. Per tile it traverses once, then runs
+//!    the tile's listeners in [`NEAR_BLOCK`] lanes (the last block
+//!    padded) through the blocked [`near_block`] kernel, one call per
+//!    near-ring row, and each lane through the ladder. A listener the
+//!    ladder cannot settle is recorded as pending (its rung already
+//!    counted) instead of being scanned on the spot. Per-task ladder
+//!    counters are summed (u64 addition — commutative).
+//! 2. **Fallback.** The pending listeners, in sorted order, are resolved
+//!    by the canonical exact scan in groups of [`LISTENER_BLOCK`]: a full
+//!    group runs the fused [`scan_block`] kernel, the one shorter trailing
+//!    group the per-listener `scan_transmitters_soa`. Both are
+//!    bit-identical to the exact channel, and group boundaries depend only
+//!    on the pending list.
 //!
-//! Every per-round buffer — the tile-sorted layout, the pending list and
-//! the task slots — is owned by the engine and reused across rounds, so
-//! round memory stays O(|T| + listeners + tiles).
+//! Every per-round buffer — the two tile-sorted layouts, the pending list
+//! and the task slots — is owned by the engine and reused across rounds,
+//! so round memory stays O(|T| + listeners + tiles).
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use fading_geom::{Point, PointsSoA, TileTree};
+use fading_geom::{Bbox, Point, PointsSoA, TileTree};
 
 use crate::exec::ChunkExecutor;
 use crate::farfield::{decide_ladder, DecisionInputs};
-use crate::kernels::{gain_batch, scan_block, LISTENER_BLOCK};
+use crate::kernels::{near_block, scan_block, NearLanes, LISTENER_BLOCK, NEAR_BLOCK};
 use crate::sinr::{exact_reception, scan_transmitters_soa, ScanOutcome};
 use crate::{
     pow_alpha, ChannelPerturbation, FarFieldStats, NodeId, Reception, SinrParams,
@@ -108,36 +106,37 @@ pub const HIER_NEAR_RING: usize = 2;
 
 /// Opening criterion: a far tree node is accepted as one aggregate when
 /// `d_max² ≤ ratio · d_min²` between the listener tile's and the node's
-/// content bboxes (i.e. `d_max ≤ 1.5·d_min`), otherwise its children are
-/// visited. Smaller = tighter brackets but deeper traversals; 2.25 keeps
-/// the worst accepted gain ratio `(d_max/d_min)^α` comparable to the flat
-/// engine's near-far tile pairs while still aggregating geometrically.
-pub const HIER_ACCEPT_RATIO_SQ: f64 = 2.25;
+/// content bboxes (here `d_max ≤ 2·d_min`), otherwise its children are
+/// visited. Smaller = tighter brackets (fewer exact fallbacks) but deeper
+/// traversals. Set on the end-to-end benchmark's `mc_giant` workload
+/// (full FKN trials at n = 131072, 2 resolve threads, 2-vCPU guest,
+/// seeds 21–24, 15 s runs) from a sweep of {2.25, 3.0625, 4, 6.25}:
+/// median 2.83, 3.22, 3.54 and 3.68 trials/s, seed-1 fallback fraction
+/// 0.060, 0.063, 0.066 and 0.075. 4 is the fastest cell that keeps the
+/// fallback fraction under 0.07; DESIGN.md §12.4 has the table.
+pub const HIER_ACCEPT_RATIO_SQ: f64 = 4.0;
 
-/// Listeners per parallel decide chunk. Fixed (never derived from thread
-/// count) so chunk boundaries — and thus all floating-point accumulation
-/// orders — are identical under any executor.
-pub const HIER_CHUNK: usize = 1024;
-
-/// Listener tiles per parallel prepare task (fixed, like [`HIER_CHUNK`]).
-const PREPARE_TILE_CHUNK: usize = 64;
+/// Listener tiles per task of the fused traverse-and-decide pass: at
+/// [`HIER_TARGET_TILE_OCCUPANCY`] nodes per tile, about a thousand
+/// listeners in a first round. Fixed (never derived from thread count) so
+/// task boundaries — and thus all floating-point accumulation orders —
+/// are identical under any executor.
+pub const HIER_TILE_TASK: usize = 16;
 
 /// One task's scratch and outputs for the round's parallel passes. The
 /// engine keeps one slot per task index and reuses it across rounds;
 /// task `i` of a pass locks only slot `i`.
 #[derive(Debug, Default)]
 struct TaskSlot {
-    /// Prepare: the traversal stack of `(level, col, row)` nodes.
+    /// The traversal stack of `(level, col, row)` nodes.
     stack: Vec<(usize, usize, usize)>,
-    /// Prepare: `(lo, hi, cap)` per tile of this task, in tile order.
-    far: Vec<(f64, f64, f64)>,
-    /// Decide: near-scan gains. Fallback (slot 0 only): the exact-scan
-    /// gains of the short trailing group.
-    gains: Vec<f64>,
-    /// Decide: positions in `listeners` this chunk left pending.
+    /// Positions in `listeners` this task left pending.
     pending: Vec<u32>,
-    /// Decide: this chunk's ladder counters.
+    /// This task's ladder counters.
     stats: FarFieldStats,
+    /// Fallback (slot 0 only): the exact-scan gains of the short trailing
+    /// group.
+    gains: Vec<f64>,
 }
 
 /// Locks a mutex, recovering the guard if a task panicked while holding
@@ -169,33 +168,41 @@ pub struct HierarchicalFarFieldEngine {
     /// SoA mirror of the build positions, feeding the batched kernels
     /// (coherent with `positions` whenever `matches` holds).
     soa: PointsSoA,
+    /// Every tree level's nodes in one flat array: level `l` holds
+    /// `(col, row)` at `level_base[l] + row * level_cols[l] + col` of
+    /// `node_box` and `mass` (level 0 = the fine tiles, at their own
+    /// indices).
+    level_base: Vec<usize>,
+    level_cols: Vec<usize>,
+    /// Each node's content bbox (meaningless for empty nodes, which never
+    /// carry mass).
+    node_box: Vec<Bbox>,
+    /// Per-round transmitter count under each node.
+    mass: Vec<u32>,
+    /// Nodes touched this round, per level (level-local indices), for
+    /// clearing `mass`.
+    touched: Vec<Vec<u32>>,
     /// Per-round tile-sorted transmitter layout: fine tile `t` owns
     /// entries `tile_start[t]..tile_start[t + 1]` of `sorted_x`,
-    /// `sorted_y` and `sorted_tx` (`(node, slice index)`), in slice order.
+    /// `sorted_y` and `sorted_idx` (slice indices), in slice order.
     /// Tiles are row-major, so a row of the near ring is one span.
     tile_start: Vec<u32>,
     sorted_x: Vec<f64>,
     sorted_y: Vec<f64>,
-    sorted_tx: Vec<(u32, u32)>,
+    sorted_idx: Vec<u32>,
+    /// Per-round tile-sorted listener order: fine tile `t` owns entries
+    /// `lis_start[t]..lis_start[t + 1]` of `lis_order` (positions in
+    /// `listeners`, in listener order within a tile).
+    lis_start: Vec<u32>,
+    lis_order: Vec<u32>,
+    /// This round's non-empty listener tiles, in tile order.
+    listener_tiles: Vec<u32>,
     /// Round-level gathered transmitter coordinates (slice order) for the
     /// exact fallback scans.
     tx_xs: Vec<f64>,
     tx_ys: Vec<f64>,
-    /// Per-round transmitter count under each tree node, per level.
-    tx_count: Vec<Vec<u32>>,
-    /// Nodes touched this round, per level, for clearing `tx_count`.
-    touched: Vec<Vec<u32>>,
-    /// Per-listener-tile far aggregates of the current round; `far_stamp`
-    /// marks the tiles the prepare pass computed.
-    far_lo: Vec<f64>,
-    far_hi: Vec<f64>,
-    far_cap: Vec<f64>,
-    far_stamp: Vec<u64>,
-    stamp: u64,
-    /// This round's distinct listener tiles, in first-seen order.
-    listener_tiles: Vec<u32>,
-    /// Positions in this round's `listeners` the decide pass left for the
-    /// exact scan, in listener order.
+    /// Positions in this round's `listeners` the first pass left for the
+    /// exact scan, in sorted listener order.
     pending: Vec<u32>,
     /// Per-task slots of the parallel passes.
     slots: Vec<Mutex<TaskSlot>>,
@@ -239,6 +246,15 @@ impl HierarchicalFarFieldEngine {
         let num_fine = tree.fine().num_tiles();
         let num_levels = tree.num_levels();
         let alive_per_tile = (0..num_fine).map(|t| tree.fine().count(t) as u32).collect();
+        let mut level_base = Vec::with_capacity(num_levels);
+        let mut node_box = Vec::new();
+        for l in 0..num_levels {
+            level_base.push(node_box.len());
+            node_box.extend((0..tree.num_nodes(l)).map(|i| {
+                tree.node_bbox(l, i)
+                    .unwrap_or(Bbox::new(Point::ORIGIN, Point::ORIGIN))
+            }));
+        }
         Some(HierarchicalFarFieldEngine {
             n: positions.len(),
             power: params.power(),
@@ -249,22 +265,20 @@ impl HierarchicalFarFieldEngine {
             alive_per_tile,
             num_alive: positions.len(),
             soa: PointsSoA::from_points(positions),
+            level_base,
+            level_cols: (0..num_levels).map(|l| tree.level_cols(l)).collect(),
+            mass: vec![0; node_box.len()],
+            node_box,
+            touched: vec![Vec::new(); num_levels],
             tile_start: vec![0; num_fine + 1],
             sorted_x: Vec::new(),
             sorted_y: Vec::new(),
-            sorted_tx: Vec::new(),
+            sorted_idx: Vec::new(),
+            lis_start: vec![0; num_fine + 1],
+            lis_order: Vec::new(),
+            listener_tiles: Vec::new(),
             tx_xs: Vec::new(),
             tx_ys: Vec::new(),
-            tx_count: (0..num_levels)
-                .map(|l| vec![0u32; tree.num_nodes(l)])
-                .collect(),
-            touched: vec![Vec::new(); num_levels],
-            far_lo: vec![0.0; num_fine],
-            far_hi: vec![0.0; num_fine],
-            far_cap: vec![0.0; num_fine],
-            far_stamp: vec![0; num_fine],
-            stamp: 0,
-            listener_tiles: Vec::new(),
             pending: Vec::new(),
             slots: Vec::new(),
             stats: FarFieldStats::default(),
@@ -379,23 +393,25 @@ impl HierarchicalFarFieldEngine {
     /// One Barnes–Hut traversal: the far-field aggregate `(lo, hi, cap)`
     /// for listeners in fine tile `lt`, over this round's transmitter
     /// masses. `stack` is caller-provided scratch holding `(level, col,
-    /// row)` node addresses, so no step divides to recover coordinates.
+    /// row)` node addresses, so no step divides to recover coordinates;
+    /// only nodes with mass are pushed.
     fn traverse(&self, lt: usize, stack: &mut Vec<(usize, usize, usize)>) -> (f64, f64, f64) {
         let fine = self.tree.fine();
         let (fine_cols, fine_rows) = (fine.cols(), fine.rows());
         let (near_c0, near_c1, near_r0, near_r1) = self.near_box(lt);
+        // The listener tile's content bbox (non-empty: it holds a
+        // listener), against which every node's bracket is taken.
+        let listener_box = self.node_box[lt];
 
         let p = self.power;
         let alpha = self.alpha;
         let (mut lo, mut hi, mut cap) = (0.0f64, 0.0f64, 0.0f64);
+        let root = self.tree.num_levels() - 1;
         stack.clear();
-        stack.push((self.tree.num_levels() - 1, 0, 0));
+        if self.mass[self.level_base[root]] > 0 {
+            stack.push((root, 0, 0));
+        }
         while let Some((l, c, r)) = stack.pop() {
-            let idx = r * self.tree.level_cols(l) + c;
-            let mass = self.tx_count[l][idx];
-            if mass == 0 {
-                continue;
-            }
             // The node's fine-tile span, `[c·2^l, (c+1)·2^l)` clipped to
             // the grid, against the listener's near ring.
             let in_near = (c << l) <= near_c1
@@ -411,9 +427,8 @@ impl HierarchicalFarFieldEngine {
                 }
                 continue;
             }
-            let Some((d_min_sq, d_max_sq)) = self.tree.distance_sq_bounds_to(lt, l, idx) else {
-                unreachable!("listener tile and massive node are both non-empty")
-            };
+            let idx = self.level_base[l] + r * self.level_cols[l] + c;
+            let (d_min_sq, d_max_sq) = listener_box.distance_sq_bounds(&self.node_box[idx]);
             if l > 0 && d_max_sq > HIER_ACCEPT_RATIO_SQ * d_min_sq {
                 // Too wide an opening angle: refine. Fine tiles are always
                 // accepted (the recursion's base case).
@@ -423,7 +438,7 @@ impl HierarchicalFarFieldEngine {
             // Accept the aggregate. d_min² = 0 (touching boxes) makes the
             // upper gain infinite — rung 1 then falls back, which is
             // conservative, never wrong.
-            let m = f64::from(mass);
+            let m = f64::from(self.mass[idx]);
             lo += m * (p / pow_alpha(d_max_sq, alpha));
             let g_hi = p / pow_alpha(d_min_sq, alpha);
             hi += m * g_hi;
@@ -432,100 +447,20 @@ impl HierarchicalFarFieldEngine {
         (lo, hi, cap)
     }
 
-    /// Pushes the children of node `(l, c, r)` (1, 2 or 4 at grid edges)
-    /// in row-major order, as `TileTree::children` lists them.
+    /// Pushes the children of node `(l, c, r)` that carry mass (of 1, 2
+    /// or 4 at grid edges), in row-major order.
     fn push_children(&self, stack: &mut Vec<(usize, usize, usize)>, l: usize, c: usize, r: usize) {
-        let c1 = (2 * c + 2).min(self.tree.level_cols(l - 1));
+        let cols = self.level_cols[l - 1];
+        let base = self.level_base[l - 1];
+        let c1 = (2 * c + 2).min(cols);
         let r1 = (2 * r + 2).min(self.tree.level_rows(l - 1));
         for rr in 2 * r..r1 {
             for cc in 2 * c..c1 {
-                stack.push((l - 1, cc, rr));
-            }
-        }
-    }
-
-    /// One listener's ladder decision: exact near scan + the tile's far
-    /// bracket. `None` means the exact scan is needed (that rung is
-    /// already counted in `stats`). Read-only over the engine (runs
-    /// concurrently across chunks); `stats` and `gains` are the calling
-    /// task's.
-    #[allow(clippy::too_many_arguments)] // the round's scalars, spelled out
-    fn decide_listener(
-        &self,
-        v: NodeId,
-        vp: Point,
-        perturbation: Option<&ChannelPerturbation<'_>>,
-        noise: f64,
-        beta: f64,
-        stats: &mut FarFieldStats,
-        gains: &mut Vec<f64>,
-    ) -> Option<Reception> {
-        let lt = self.tree.fine().tile_of(v);
-        debug_assert_eq!(
-            self.far_stamp[lt], self.stamp,
-            "prepare pass missed tile {lt}"
-        );
-        let far_lo = self.far_lo[lt];
-        let far_hi = self.far_hi[lt];
-        // Widened cap on any single far signal (covers bound rounding and
-        // powf non-monotonicity; see FARFIELD_REL_SLACK).
-        let far_cap = self.far_cap[lt] * (1.0 + FARFIELD_REL_SLACK);
-
-        // Exact near-field scan: one fused gain batch per near-ring row
-        // (a contiguous span of the tile-sorted layout; canonical per-pair
-        // expression), folded with winner = minimal slice index among the
-        // strict maxima — exactly the canonical fold's first-strict-max.
-        let cols = self.tree.fine().cols();
-        let (c0, c1, r0, r1) = self.near_box(lt);
-        let mut near_sum = 0.0f64;
-        let mut best_sig = 0.0f64;
-        let mut best_tx: Option<NodeId> = None;
-        let mut best_idx = u32::MAX;
-        for r in r0..=r1 {
-            let lo = self.tile_start[r * cols + c0] as usize;
-            let hi = self.tile_start[r * cols + c1 + 1] as usize;
-            if lo == hi {
-                continue;
-            }
-            gains.resize(hi - lo, 0.0);
-            gain_batch(
-                self.power,
-                self.alpha,
-                &self.sorted_x[lo..hi],
-                &self.sorted_y[lo..hi],
-                vp.x,
-                vp.y,
-                gains,
-            );
-            for (&sig, &(u, idx)) in gains.iter().zip(&self.sorted_tx[lo..hi]) {
-                let u = u as usize;
-                debug_assert_ne!(u, v, "a node cannot transmit and listen simultaneously");
-                near_sum += sig;
-                if sig > best_sig {
-                    best_sig = sig;
-                    best_tx = Some(u);
-                    best_idx = idx;
-                } else if sig == best_sig && sig > 0.0 && idx < best_idx {
-                    best_tx = Some(u);
-                    best_idx = idx;
+                if self.mass[base + rr * cols + cc] > 0 {
+                    stack.push((l - 1, cc, rr));
                 }
             }
         }
-
-        decide_ladder(
-            stats,
-            DecisionInputs {
-                near_sum,
-                best_sig,
-                best_tx,
-                far_lo,
-                far_hi,
-                far_cap,
-                noise,
-                extra: perturbation.map(|pt| pt.extra_at(v)),
-                beta,
-            },
-        )
     }
 
     /// Serial round setup: clears last round's masses (touched nodes
@@ -533,71 +468,186 @@ impl HierarchicalFarFieldEngine {
     /// tile-sorted layout, propagates the counts up the tree and gathers
     /// the slice-order coordinates for the exact fallback.
     fn load_transmitters(&mut self, transmitters: &[NodeId]) {
-        for l in 0..self.touched.len() {
-            for &t in &self.touched[l] {
-                self.tx_count[l][t as usize] = 0;
+        for (l, touched) in self.touched.iter_mut().enumerate() {
+            let base = self.level_base[l];
+            for &t in touched.iter() {
+                self.mass[base + t as usize] = 0;
             }
-            self.touched[l].clear();
+            touched.clear();
         }
         let fine = self.tree.fine();
         for &u in transmitters {
             let t = fine.tile_of(u);
-            if self.tx_count[0][t] == 0 {
+            if self.mass[t] == 0 {
                 self.touched[0].push(t as u32);
             }
-            self.tx_count[0][t] += 1;
+            self.mass[t] += 1;
         }
         // Counting sort: inclusive prefix sums, then a reverse scatter
         // that decrements each tile's end — stable, so every tile keeps
         // slice order, and `tile_start[t]` ends at tile t's first entry.
         let mut end = 0u32;
-        for (slot, &count) in self.tile_start.iter_mut().zip(&self.tx_count[0]) {
+        for (slot, &count) in self.tile_start.iter_mut().zip(&self.mass) {
             end += count;
             *slot = end;
         }
         self.tile_start[fine.num_tiles()] = end;
         self.sorted_x.resize(transmitters.len(), 0.0);
         self.sorted_y.resize(transmitters.len(), 0.0);
-        self.sorted_tx.resize(transmitters.len(), (0, 0));
+        self.sorted_idx.resize(transmitters.len(), 0);
         for (idx, &u) in transmitters.iter().enumerate().rev() {
             let t = fine.tile_of(u);
             self.tile_start[t] -= 1;
             let k = self.tile_start[t] as usize;
             self.sorted_x[k] = self.soa.xs()[u];
             self.sorted_y[k] = self.soa.ys()[u];
-            self.sorted_tx[k] = (u as u32, idx as u32);
+            self.sorted_idx[k] = idx as u32;
         }
         self.soa
             .gather(transmitters, &mut self.tx_xs, &mut self.tx_ys);
         for l in 1..self.tree.num_levels() {
-            let cols = self.tree.level_cols(l);
-            let child_cols = self.tree.level_cols(l - 1);
-            // Split the borrows: children (level l-1) feed parents
-            // (level l) in both the count and touched arrays.
-            let (lower_counts, upper_counts) = self.tx_count.split_at_mut(l);
-            let child_counts = &lower_counts[l - 1];
-            let parent_counts = &mut upper_counts[0];
-            let (lower_touched, upper_touched) = self.touched.split_at_mut(l);
-            let child_touched = &lower_touched[l - 1];
-            let parent_touched = &mut upper_touched[0];
-            for &c in child_touched {
+            let (cols, base) = (self.level_cols[l], self.level_base[l]);
+            let (child_cols, child_base) = (self.level_cols[l - 1], self.level_base[l - 1]);
+            // Split the borrow: children (level l-1) feed parents (level
+            // l) in the touched lists.
+            let (lower, upper) = self.touched.split_at_mut(l);
+            for &c in &lower[l - 1] {
                 let c = c as usize;
                 let parent = (c / child_cols / 2) * cols + (c % child_cols) / 2;
-                if parent_counts[parent] == 0 {
-                    parent_touched.push(parent as u32);
+                if self.mass[base + parent] == 0 {
+                    upper[0].push(parent as u32);
                 }
-                parent_counts[parent] += child_counts[c];
+                self.mass[base + parent] += self.mass[child_base + c];
             }
         }
+    }
+
+    /// Serial round setup for the listeners: counting-sorts their
+    /// positions in `listeners` by fine tile (stable, so listener order
+    /// within a tile) and lists the non-empty tiles in tile order.
+    fn sort_listeners(&mut self, listeners: &[NodeId]) {
+        let fine = self.tree.fine();
+        self.lis_start.fill(0);
+        for &v in listeners {
+            self.lis_start[fine.tile_of(v)] += 1;
+        }
+        self.listener_tiles.clear();
+        let mut end = 0u32;
+        for (t, slot) in self.lis_start.iter_mut().enumerate() {
+            if *slot > 0 {
+                self.listener_tiles.push(t as u32);
+            }
+            end += *slot;
+            *slot = end;
+        }
+        self.lis_order.resize(listeners.len(), 0);
+        for (i, &v) in listeners.iter().enumerate().rev() {
+            let t = fine.tile_of(v);
+            self.lis_start[t] -= 1;
+            self.lis_order[self.lis_start[t] as usize] = i as u32;
+        }
+    }
+
+    /// One task of the fused pass: traverses each of `tiles` once and
+    /// decides all of its listeners — blocked exact near scan plus the
+    /// tile's far bracket through the ladder. Returns the receptions in
+    /// sorted listener order (from the first tile's first listener) and
+    /// leaves the unsettled listeners in `slot.pending`.
+    #[allow(clippy::too_many_arguments)] // the round's inputs, spelled out
+    fn decide_tiles(
+        &self,
+        tiles: &[u32],
+        transmitters: &[NodeId],
+        listeners: &[NodeId],
+        perturbation: Option<&ChannelPerturbation<'_>>,
+        noise: f64,
+        beta: f64,
+        slot: &mut TaskSlot,
+    ) -> Vec<Reception> {
+        let TaskSlot {
+            stack,
+            pending,
+            stats,
+            ..
+        } = slot;
+        let mut rx = Vec::new();
+        pending.clear();
+        *stats = FarFieldStats::default();
+        let cols = self.tree.fine().cols();
+        let (xs, ys) = (self.soa.xs(), self.soa.ys());
+        for &lt in tiles {
+            let lt = lt as usize;
+            let (far_lo, far_hi, far_cap) = self.traverse(lt, stack);
+            // Widened cap on any single far signal (covers bound rounding
+            // and powf non-monotonicity; see FARFIELD_REL_SLACK).
+            let far_cap = far_cap * (1.0 + FARFIELD_REL_SLACK);
+            // The near ring's rows as contiguous spans of the tile-sorted
+            // transmitter layout.
+            let (c0, c1, r0, r1) = self.near_box(lt);
+            let spans = (r0..=r1).map(|r| {
+                (
+                    self.tile_start[r * cols + c0] as usize,
+                    self.tile_start[r * cols + c1 + 1] as usize,
+                )
+            });
+            let members =
+                &self.lis_order[self.lis_start[lt] as usize..self.lis_start[lt + 1] as usize];
+            for block in members.chunks(NEAR_BLOCK) {
+                // Padding lanes repeat the block's first listener.
+                let first = listeners[block[0] as usize];
+                let mut vx = [xs[first]; NEAR_BLOCK];
+                let mut vy = [ys[first]; NEAR_BLOCK];
+                for (j, &i) in block.iter().enumerate() {
+                    let v = listeners[i as usize];
+                    vx[j] = xs[v];
+                    vy[j] = ys[v];
+                }
+                let mut lanes = NearLanes::default();
+                for (lo, hi) in spans.clone().filter(|(lo, hi)| lo < hi) {
+                    near_block(
+                        self.power,
+                        self.alpha,
+                        &self.sorted_x[lo..hi],
+                        &self.sorted_y[lo..hi],
+                        &self.sorted_idx[lo..hi],
+                        &vx,
+                        &vy,
+                        &mut lanes,
+                    );
+                }
+                for (j, &i) in block.iter().enumerate() {
+                    let v = listeners[i as usize];
+                    let best = lanes.best_idx[j];
+                    let decided = decide_ladder(
+                        stats,
+                        DecisionInputs {
+                            near_sum: lanes.sum[j],
+                            best_sig: lanes.best_sig[j],
+                            best_tx: (best != u32::MAX).then(|| transmitters[best as usize]),
+                            far_lo,
+                            far_hi,
+                            far_cap,
+                            noise,
+                            extra: perturbation.map(|pt| pt.extra_at(v)),
+                            beta,
+                        },
+                    );
+                    rx.push(decided.unwrap_or_else(|| {
+                        pending.push(i);
+                        Reception::Silence
+                    }));
+                }
+            }
+        }
+        rx
     }
 
     /// Resolves one round with the tree-aggregated fast path; reception
     /// semantics (and bits) are exactly those of
     /// [`SinrChannel::resolve`](crate::SinrChannel). `perturbation` must be
     /// `None` for a neutral perturbation, mirroring the dispatch in
-    /// `SinrChannel::resolve_core`. The three passes run on `executor`;
-    /// see the [module docs](self) for why scheduling cannot affect
-    /// results.
+    /// `SinrChannel::resolve_core`. The two passes run on `executor`; see
+    /// the [module docs](self) for why scheduling cannot affect results.
     pub(crate) fn resolve_sinr(
         &mut self,
         params: &SinrParams,
@@ -623,85 +673,46 @@ impl HierarchicalFarFieldEngine {
         }
 
         self.load_transmitters(transmitters);
-        self.stamp += 1;
-
-        // Distinct listener tiles, serially in first-seen order (all
-        // listeners of a tile share the aggregate).
-        self.listener_tiles.clear();
-        for &v in listeners {
-            let lt = self.tree.fine().tile_of(v);
-            if self.far_stamp[lt] != self.stamp {
-                self.far_stamp[lt] = self.stamp;
-                self.listener_tiles.push(lt as u32);
-            }
-        }
-        let num_tile_tasks = self.listener_tiles.len().div_ceil(PREPARE_TILE_CHUNK);
-        let num_chunks = listeners.len().div_ceil(HIER_CHUNK);
-        let num_slots = num_tile_tasks.max(num_chunks);
-        if self.slots.len() < num_slots {
-            self.slots.resize_with(num_slots, Mutex::default);
+        self.sort_listeners(listeners);
+        let num_tasks = self.listener_tiles.len().div_ceil(HIER_TILE_TASK);
+        if self.slots.len() < num_tasks {
+            self.slots.resize_with(num_tasks, Mutex::default);
         }
 
-        // Pass 1 (prepare): one traversal per listener tile.
-        {
-            let this = &*self;
-            executor.run(num_tile_tasks, &|task| {
-                let mut slot = lock(&this.slots[task]);
-                let TaskSlot { stack, far, .. } = &mut *slot;
-                far.clear();
-                let start = task * PREPARE_TILE_CHUNK;
-                let end = (start + PREPARE_TILE_CHUNK).min(this.listener_tiles.len());
-                for &lt in &this.listener_tiles[start..end] {
-                    far.push(this.traverse(lt as usize, stack));
-                }
-            });
-        }
-        for (task, tiles) in self.listener_tiles.chunks(PREPARE_TILE_CHUNK).enumerate() {
-            let slot = lock(&self.slots[task]);
-            for (&lt, &(lo, hi, cap)) in tiles.iter().zip(&slot.far) {
-                let lt = lt as usize;
-                self.far_lo[lt] = lo;
-                self.far_hi[lt] = hi;
-                self.far_cap[lt] = cap;
-            }
-        }
-
-        // Pass 2 (decide): fixed-size listener chunks through the ladder,
-        // each copying its receptions into `out` under one lock.
+        // Pass 1 (traverse and decide): runs of listener tiles, each task
+        // scattering its receptions into `out` under one lock.
         let out = Mutex::new(vec![Reception::Silence; listeners.len()]);
         {
             let this = &*self;
-            executor.run(num_chunks, &|chunk| {
-                let mut slot = lock(&this.slots[chunk]);
-                let TaskSlot {
-                    gains,
-                    pending,
-                    stats,
-                    ..
-                } = &mut *slot;
-                pending.clear();
-                *stats = FarFieldStats::default();
-                let start = chunk * HIER_CHUNK;
-                let end = (start + HIER_CHUNK).min(listeners.len());
-                let mut rx = [Reception::Silence; HIER_CHUNK];
-                for (i, &v) in listeners[start..end].iter().enumerate() {
-                    let vp = positions[v];
-                    match this.decide_listener(v, vp, perturbation, noise, beta, stats, gains) {
-                        Some(r) => rx[i] = r,
-                        None => pending.push((start + i) as u32),
-                    }
+            executor.run(num_tasks, &|task| {
+                let mut slot = lock(&this.slots[task]);
+                let start = task * HIER_TILE_TASK;
+                let end = (start + HIER_TILE_TASK).min(this.listener_tiles.len());
+                let tiles = &this.listener_tiles[start..end];
+                let rx = this.decide_tiles(
+                    tiles,
+                    transmitters,
+                    listeners,
+                    perturbation,
+                    noise,
+                    beta,
+                    &mut slot,
+                );
+                let first = this.lis_start[tiles[0] as usize] as usize;
+                let mut out = lock(&out);
+                for (&r, &i) in rx.iter().zip(&this.lis_order[first..]) {
+                    out[i as usize] = r;
                 }
-                lock(&out)[start..end].copy_from_slice(&rx[..end - start]);
             });
         }
         self.pending.clear();
-        for slot in &self.slots[..num_chunks] {
+        for slot in &self.slots[..num_tasks] {
             let slot = lock(slot);
             self.pending.extend_from_slice(&slot.pending);
             self.stats += slot.stats;
         }
 
-        // Pass 3 (fallback): the pending listeners through the exact scan.
+        // Pass 2 (fallback): the pending listeners through the exact scan.
         self.resolve_pending(
             &out,
             positions,

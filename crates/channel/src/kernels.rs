@@ -26,14 +26,17 @@
 //!
 //! No SIMD reassociation of the *fold* is attempted — a single listener's
 //! `total += sig` chain is folded strictly in slice order. What *is*
-//! vectorized is the [`scan_block`] kernel, which runs [`LISTENER_BLOCK`]
-//! *independent* listeners' fused gain-plus-fold chains side by side: the
-//! SIMD lanes map to listeners, never to positions within one listener's
-//! sum, so each lane reproduces the canonical scalar accumulation add for
-//! add while the interleaving hides the FP-add latency that makes a lone
-//! fold chain serial. The `pow_alpha_batch` proptest oracle and the
-//! batched-vs-scalar scan equivalence proptest in `tests/kernels.rs` pin
-//! the contract across the full dynamic range.
+//! vectorized are the block kernels — [`scan_block`] over
+//! [`LISTENER_BLOCK`] listeners and all transmitters, [`near_block`] over
+//! [`NEAR_BLOCK`] listeners and one near-ring span, its lanes carried
+//! from span to span — which run *independent* listeners' fused
+//! gain-plus-fold chains side by side: the SIMD lanes map to listeners,
+//! never to positions within one listener's sum, so each lane reproduces
+//! the canonical scalar accumulation add for add while the interleaving
+//! hides the FP-add latency that makes a lone fold chain serial. The
+//! `pow_alpha_batch` proptest oracle, the batched-vs-scalar scan
+//! equivalence proptest and the near-block oracle in `tests/kernels.rs`
+//! pin the contract across the full dynamic range.
 //!
 //! # Runtime AVX2 dispatch
 //!
@@ -494,6 +497,175 @@ pub fn scan_block(
             ys,
             vx,
             vy,
+        ),
+    }
+}
+
+/// Listener lanes per [`near_block`] call: the listeners of one fine
+/// tile, so a tile's last block is padded. Narrower than
+/// [`LISTENER_BLOCK`] because FKN tiles hold few listeners after the
+/// first round: in full trials at n = 131072, 8 lanes compute 9% more
+/// lane gains than there are listener–transmitter pairs, 32 lanes 44%,
+/// at the same ~2.1 ns per lane gain (two ymm accumulators per array
+/// already keep the divider busy).
+pub const NEAR_BLOCK: usize = 8;
+
+/// The running near-field fold of a [`near_block`] listener block, one
+/// lane per listener, carried across the row spans of one near ring.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NearLanes {
+    /// Each lane's gain sum, accumulated in span order.
+    pub sum: [f64; NEAR_BLOCK],
+    /// Each lane's strongest gain so far (0.0 while none is positive).
+    pub best_sig: [f64; NEAR_BLOCK],
+    /// Each lane's winner: the smallest transmitter slice index among the
+    /// entries attaining `best_sig` (positive gains only); `u32::MAX`
+    /// while there is none.
+    pub best_idx: [u32; NEAR_BLOCK],
+}
+
+impl Default for NearLanes {
+    fn default() -> Self {
+        NearLanes {
+            sum: [0.0; NEAR_BLOCK],
+            best_sig: [0.0; NEAR_BLOCK],
+            best_idx: [u32::MAX; NEAR_BLOCK],
+        }
+    }
+}
+
+/// The monomorphized blocked near kernel: every transmitter of one span
+/// against [`NEAR_BLOCK`] listener lanes. Per lane the arithmetic is
+/// the per-listener near loop's — canonical gain expression, `sum += g`
+/// in span order, and a winner that moves on a strict maximum or on an
+/// exact tie with a smaller slice index — so carrying a lane over any
+/// sequence of spans is bit-identical to that loop over their
+/// concatenation.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the span, the lanes and the carry
+fn near_block_inner<K: AlphaKernel>(
+    k: K,
+    power: f64,
+    xs: &[f64],
+    ys: &[f64],
+    idx: &[u32],
+    vx: &[f64; NEAR_BLOCK],
+    vy: &[f64; NEAR_BLOCK],
+    lanes: &mut NearLanes,
+) {
+    let mut sum = lanes.sum;
+    let mut best = lanes.best_sig;
+    // Lane-width (64-bit) winner indices, so the selects below vectorize
+    // alongside the f64 compares; u32::MAX still sorts above every index.
+    let mut best_i = lanes.best_idx.map(i64::from);
+    for ((&x, &y), &i) in xs.iter().zip(ys).zip(idx) {
+        let i = i64::from(i);
+        for j in 0..NEAR_BLOCK {
+            let dx = x - vx[j];
+            let dy = y - vy[j];
+            let g = power / k.pow_alpha(dx * dx + dy * dy);
+            sum[j] += g;
+            // Non-short-circuit select form, as in scan_block_inner (NaN
+            // compares false → keep).
+            let better = (g > best[j]) | ((g == best[j]) & (g > 0.0) & (i < best_i[j]));
+            best[j] = if better { g } else { best[j] };
+            best_i[j] = if better { i } else { best_i[j] };
+        }
+    }
+    lanes.sum = sum;
+    lanes.best_sig = best;
+    lanes.best_idx = best_i.map(|i| i as u32);
+}
+
+/// AVX2 instantiation of [`near_block_inner`] — bit-identical per lane
+/// (no `fma`; see [`pow_alpha_batch_avx2`]).
+///
+/// # Safety
+///
+/// The caller must have verified that the CPU supports AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)] // mirrors near_block_inner
+#[allow(unsafe_code)] // see the crate-root lint note
+unsafe fn near_block_avx2<K: AlphaKernel>(
+    k: K,
+    power: f64,
+    xs: &[f64],
+    ys: &[f64],
+    idx: &[u32],
+    vx: &[f64; NEAR_BLOCK],
+    vy: &[f64; NEAR_BLOCK],
+    lanes: &mut NearLanes,
+) {
+    near_block_inner(k, power, xs, ys, idx, vx, vy, lanes);
+}
+
+/// Runtime-dispatched [`near_block_inner`] (pure throughput policy; both
+/// arms are bit-identical).
+#[inline]
+#[allow(clippy::too_many_arguments)] // mirrors near_block_inner
+#[allow(unsafe_code)] // detection-guarded call; see the crate-root lint note
+fn near_block_with<K: AlphaKernel>(
+    k: K,
+    power: f64,
+    xs: &[f64],
+    ys: &[f64],
+    idx: &[u32],
+    vx: &[f64; NEAR_BLOCK],
+    vy: &[f64; NEAR_BLOCK],
+    lanes: &mut NearLanes,
+) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        unsafe { near_block_avx2(k, power, xs, ys, idx, vx, vy, lanes) };
+        return;
+    }
+    near_block_inner(k, power, xs, ys, idx, vx, vy, lanes);
+}
+
+/// Blocked near-field scan: folds one span of transmitters — SoA
+/// coordinates `xs`/`ys` and their slice indices `idx`, in any order —
+/// into the running [`NearLanes`] of [`NEAR_BLOCK`] listeners at
+/// `(vx[j], vy[j])`. Starting from `NearLanes::default()` and calling it
+/// once per span gives each lane exactly the sum (in span order), the
+/// strongest gain and the min-slice-index winner among its exact maxima
+/// that a per-listener loop over the same spans computes. A block with
+/// fewer listeners is padded with copies of a real lane, whose results
+/// the caller ignores.
+///
+/// # Panics
+///
+/// Panics if `xs`, `ys` and `idx` differ in length.
+#[allow(clippy::too_many_arguments)] // the span, the lanes and the carry
+pub fn near_block(
+    power: f64,
+    alpha: f64,
+    xs: &[f64],
+    ys: &[f64],
+    idx: &[u32],
+    vx: &[f64; NEAR_BLOCK],
+    vy: &[f64; NEAR_BLOCK],
+    lanes: &mut NearLanes,
+) {
+    assert_eq!(xs.len(), ys.len(), "SoA slices must be parallel");
+    assert_eq!(xs.len(), idx.len(), "one slice index per transmitter");
+    match AlphaClass::of(alpha) {
+        AlphaClass::Two => near_block_with(Alpha2, power, xs, ys, idx, vx, vy, lanes),
+        AlphaClass::Three => near_block_with(Alpha3, power, xs, ys, idx, vx, vy, lanes),
+        AlphaClass::Four => near_block_with(Alpha4, power, xs, ys, idx, vx, vy, lanes),
+        AlphaClass::Six => near_block_with(Alpha6, power, xs, ys, idx, vx, vy, lanes),
+        AlphaClass::Generic => near_block_with(
+            AlphaGeneric {
+                half_alpha: alpha * 0.5,
+            },
+            power,
+            xs,
+            ys,
+            idx,
+            vx,
+            vy,
+            lanes,
         ),
     }
 }

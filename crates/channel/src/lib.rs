@@ -99,8 +99,8 @@ pub use farfield::{
     MAX_TILES_PER_SIDE, NEAR_RING,
 };
 pub use hierarchical::{
-    HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_CHUNK, HIER_MAX_TILES_PER_SIDE,
-    HIER_NEAR_RING, HIER_TARGET_TILE_OCCUPANCY,
+    HierarchicalFarFieldEngine, HIER_ACCEPT_RATIO_SQ, HIER_MAX_TILES_PER_SIDE, HIER_NEAR_RING,
+    HIER_TARGET_TILE_OCCUPANCY, HIER_TILE_TASK,
 };
 pub use lossy::LossySinrChannel;
 pub use params::{SinrParams, SinrParamsBuilder, DEFAULT_SINGLE_HOP_MARGIN};

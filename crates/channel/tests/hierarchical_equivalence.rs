@@ -18,13 +18,16 @@
 //! degenerates to 1×k levels). A deterministic clustered round pins the
 //! round-level paths: batched exact fallbacks (full and partial
 //! `LISTENER_BLOCK` groups), ring clipping at corner tiles, and multiple
-//! prepare and decide tasks under a reversed executor.
+//! traverse-and-decide tasks under a reversed executor; a second one puts
+//! more than a `LISTENER_BLOCK` of listeners in one tile beside singleton
+//! tiles, so the blocked near scan runs full and padded `NEAR_BLOCK`
+//! blocks.
 
-use fading_channel::kernels::LISTENER_BLOCK;
+use fading_channel::kernels::{LISTENER_BLOCK, NEAR_BLOCK};
 use fading_channel::{
     Channel, ChannelPerturbation, ChunkExecutor, HierarchicalFarFieldEngine, LossySinrChannel,
     RadioChannel, RayleighSinrChannel, Reception, SerialExecutor, SinrChannel, SinrParams,
-    HIER_CHUNK, HIER_NEAR_RING,
+    HIER_NEAR_RING, HIER_TILE_TASK,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -466,8 +469,8 @@ impl ChunkExecutor for ReverseExecutor {
 
 /// One round that drives every pass of the tree engine past its task
 /// boundaries. A 40 × 40 lattice (every tenth node transmits) fills 100
-/// of 4096 fine tiles, so the prepare pass has more than one 64-tile task
-/// and the decide pass more than one [`HIER_CHUNK`]. A tight cluster of
+/// of 4096 fine tiles, so the traverse-and-decide pass has more than one
+/// [`HIER_TILE_TASK`]-tile task. A tight cluster of
 /// 77 listeners sits in the far corner tile, with no transmitter within
 /// [`HIER_NEAR_RING`] tiles and a noise floor low enough that the far cap
 /// clears it: each of them exits the ladder at rung 3, so the fallback
@@ -495,7 +498,6 @@ fn clustered_round_batches_fallbacks_and_clips_corner_rings() {
     let mut tx: Vec<usize> = (0..1600).filter(|i| i % 10 == 3).collect();
     tx.push(lone);
     let ls: Vec<usize> = (0..positions.len()).filter(|i| !tx.contains(i)).collect();
-    assert!(ls.len() > HIER_CHUNK, "need more than one decide chunk");
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(5));
     assert!(
@@ -524,7 +526,10 @@ fn clustered_round_batches_fallbacks_and_clips_corner_rings() {
             let mut tiles: Vec<usize> = ls.iter().map(|&v| fine.tile_of(v)).collect();
             tiles.sort_unstable();
             tiles.dedup();
-            assert!(tiles.len() > 64, "need more than one 64-tile prepare task");
+            assert!(
+                tiles.len() > HIER_TILE_TASK,
+                "need more than one traverse-and-decide task"
+            );
             assert!(
                 tx.iter()
                     .all(|&u| fine.chebyshev(corner, fine.tile_of(u)) > HIER_NEAR_RING),
@@ -552,5 +557,96 @@ fn clustered_round_batches_fallbacks_and_clips_corner_rings() {
             stats.exact_fallbacks() > 2 * block && !stats.exact_fallbacks().is_multiple_of(block),
             "need two full fallback groups and a partial one: {stats:?}"
         );
+    }
+}
+
+/// One round where a single fine tile holds more than a
+/// [`LISTENER_BLOCK`] of listeners while every other listener tile holds
+/// exactly one: the blocked near scan runs full [`NEAR_BLOCK`] blocks and
+/// a padded partial one in the crowded tile and a padded block of one
+/// lane everywhere else. A 12 × 12 lattice on a 12 × 12 tiling gives
+/// one node per tile; 72 nodes crowd the tile of the lattice point
+/// (50, 50), and every sixth of them transmits, so neighbouring lanes
+/// hear different senders (a lane mix-up changes receptions). Receptions
+/// must equal the exact scan under both executors, with one decision per
+/// listener.
+#[test]
+fn crowded_tile_beside_singletons_matches_exact() {
+    let params = params_with(3.0, 1.5, 1e-3, 1.0);
+    let ch = SinrChannel::new(params);
+    let mut positions: Vec<Point> = (0..144)
+        .map(|i| Point::new((i % 12) as f64 * 10.0, (i / 12) as f64 * 10.0))
+        .collect();
+    let lattice = positions.len();
+    positions.extend(
+        (0..72).map(|i| Point::new(51.0 + (i % 9) as f64 * 0.45, 51.0 + (i / 9) as f64 * 0.45)),
+    );
+    let hub = 5 * 12 + 5;
+    assert_eq!(positions[hub], Point::new(50.0, 50.0));
+    let tx: Vec<usize> = (0..positions.len())
+        .filter(|&i| {
+            if i < lattice {
+                i % 7 == 2
+            } else {
+                (i - lattice).is_multiple_of(6)
+            }
+        })
+        .collect();
+    let ls: Vec<usize> = (0..positions.len()).filter(|i| !tx.contains(i)).collect();
+
+    let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(9));
+    let mut senders: Vec<usize> = exact
+        .iter()
+        .filter_map(|r| match *r {
+            Reception::Message { from } if from >= lattice => Some(from),
+            _ => None,
+        })
+        .collect();
+    senders.sort_unstable();
+    senders.dedup();
+    assert!(
+        senders.len() > 2,
+        "crowd listeners must hear different senders: {senders:?}"
+    );
+    let executors: [&dyn ChunkExecutor; 2] = [&SerialExecutor, &ReverseExecutor];
+    for executor in executors {
+        let mut engine = HierarchicalFarFieldEngine::build_with_tiling(&positions, &params, 12)
+            .expect("finite deployment");
+        {
+            let fine = engine.tree().fine();
+            let crowded = fine.tile_of(hub);
+            let mut per_tile = vec![0usize; fine.num_tiles()];
+            for &v in &ls {
+                per_tile[fine.tile_of(v)] += 1;
+            }
+            assert!(
+                per_tile[crowded] > LISTENER_BLOCK && !per_tile[crowded].is_multiple_of(NEAR_BLOCK),
+                "crowded tile needs full blocks and a partial one: {}",
+                per_tile[crowded]
+            );
+            assert!(
+                per_tile
+                    .iter()
+                    .enumerate()
+                    .all(|(t, &count)| t == crowded || count <= 1),
+                "every other tile must hold at most one listener"
+            );
+            assert!(
+                per_tile.iter().filter(|&&count| count == 1).count() > HIER_TILE_TASK,
+                "need singleton tiles in more than one task"
+            );
+        }
+        let fast = ch.resolve_hierarchical(
+            &positions,
+            &tx,
+            &ls,
+            Some(&mut engine),
+            executor,
+            &ChannelPerturbation::neutral(),
+            &mut SmallRng::seed_from_u64(9),
+        );
+        assert_eq!(exact, fast, "tree engine diverged from the exact scan");
+        let stats = engine.stats();
+        assert_eq!(stats.listeners_resolved(), ls.len() as u64, "{stats:?}");
     }
 }

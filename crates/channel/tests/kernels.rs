@@ -14,8 +14,15 @@
 //! 3. The batched scan (the public `resolve`) is bit-identical to a scalar
 //!    reference fold written out here — including the first-strict-max
 //!    tie-break, exercised with mirror-symmetric (equal-gain) transmitters.
+//! 4. The blocked near kernel (`near_block`), carried across several
+//!    spans, is bit-identical per lane to the per-listener near fold
+//!    (sum in span order, winner = smallest slice index among the exact
+//!    maxima) — full and padded blocks, and an exact tie whose
+//!    later-positioned entry holds the smaller slice index.
 
-use fading_channel::kernels::{distance_sq_batch, fold_scan, gain_batch, pow_alpha_batch};
+use fading_channel::kernels::{
+    distance_sq_batch, fold_scan, gain_batch, near_block, pow_alpha_batch, NearLanes, NEAR_BLOCK,
+};
 use fading_channel::{pow_alpha, Channel, Reception, SinrChannel, SinrParams};
 use fading_geom::{Point, PointsSoA};
 use proptest::prelude::*;
@@ -249,4 +256,152 @@ fn batched_scan_keeps_first_strict_max_on_exact_ties() {
     assert_eq!(fold.best_idx, Some(0), "tie must keep the earlier index");
     let fold_rev = fold_scan(&[g * 0.5, g]);
     assert_eq!(fold_rev.best_idx, Some(1), "strict max must win");
+}
+
+/// One span of a tile-sorted transmitter layout: SoA coordinates plus
+/// each entry's transmitter slice index.
+struct Span {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    idx: Vec<u32>,
+}
+
+/// The per-listener near fold the blocked kernel replaces, written out
+/// scalar: `(sum, best_sig, best slice index or u32::MAX)` over the spans
+/// in order, the winner moving on a strict maximum or on an exact
+/// positive tie with a smaller slice index.
+fn near_fold_reference(power: f64, alpha: f64, spans: &[Span], v: Point) -> (f64, f64, u32) {
+    let (mut sum, mut best, mut best_idx) = (0.0f64, 0.0f64, u32::MAX);
+    for span in spans {
+        for ((&x, &y), &i) in span.xs.iter().zip(&span.ys).zip(&span.idx) {
+            let g = power / pow_alpha(Point::new(x, y).distance_sq(v), alpha);
+            sum += g;
+            if g > best {
+                best = g;
+                best_idx = i;
+            } else if g == best && g > 0.0 && i < best_idx {
+                best_idx = i;
+            }
+        }
+    }
+    (sum, best, best_idx)
+}
+
+/// Runs `listeners` through `near_block` in [`NEAR_BLOCK`] blocks (the
+/// last one padded with copies of its first lane), carrying each block's
+/// lanes across every span, and checks each real lane bit-for-bit
+/// against [`near_fold_reference`].
+fn assert_near_blocks_match_reference(power: f64, alpha: f64, spans: &[Span], listeners: &[Point]) {
+    for block in listeners.chunks(NEAR_BLOCK) {
+        let mut vx = [block[0].x; NEAR_BLOCK];
+        let mut vy = [block[0].y; NEAR_BLOCK];
+        for (j, v) in block.iter().enumerate() {
+            vx[j] = v.x;
+            vy[j] = v.y;
+        }
+        let mut lanes = NearLanes::default();
+        for span in spans {
+            near_block(
+                power, alpha, &span.xs, &span.ys, &span.idx, &vx, &vy, &mut lanes,
+            );
+        }
+        for (j, &v) in block.iter().enumerate() {
+            let (sum, best, best_idx) = near_fold_reference(power, alpha, spans, v);
+            assert_eq!(
+                lanes.sum[j].to_bits(),
+                sum.to_bits(),
+                "alpha={alpha} lane {j} sum"
+            );
+            assert_eq!(
+                lanes.best_sig[j].to_bits(),
+                best.to_bits(),
+                "alpha={alpha} lane {j} best_sig"
+            );
+            assert_eq!(lanes.best_idx[j], best_idx, "alpha={alpha} lane {j} winner");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Oracle for the blocked near kernel: arbitrary transmitters split
+    /// into up to five spans (empty ones included) with shuffled slice
+    /// indices (repeats included), and listener counts that leave full
+    /// blocks, a padded partial block, or a single padded lane.
+    #[test]
+    fn near_block_lanes_match_the_per_listener_fold(
+        txs in prop::collection::vec((-20.0..20.0f64, -20.0..20.0f64, 0u32..1000), 0..60),
+        cuts in prop::collection::vec(0usize..60, 4),
+        listeners in prop::collection::vec((-20.0..20.0f64, -20.0..20.0f64), 1..=2 * NEAR_BLOCK + 3),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(txs.len())).collect();
+        cuts.sort_unstable();
+        let bounds: Vec<usize> =
+            std::iter::once(0).chain(cuts).chain(std::iter::once(txs.len())).collect();
+        let spans: Vec<Span> = bounds
+            .windows(2)
+            .map(|w| Span {
+                xs: txs[w[0]..w[1]].iter().map(|t| t.0).collect(),
+                ys: txs[w[0]..w[1]].iter().map(|t| t.1).collect(),
+                idx: txs[w[0]..w[1]].iter().map(|t| t.2).collect(),
+            })
+            .collect();
+        let listeners: Vec<Point> = listeners.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        for &alpha in &ALPHAS {
+            assert_near_blocks_match_reference(3.5, alpha, &spans, &listeners);
+        }
+    }
+}
+
+/// The tie-break across tiles of one row span: a listener at the origin
+/// sees two mirror-symmetric transmitters — bit-equal gains — in two
+/// different tiles of the span. Whichever holds the smaller slice index
+/// wins, even when it comes later in the span; a padded block of three
+/// listeners (the tie sits on lane 0) runs alongside.
+#[test]
+fn near_block_tie_across_tiles_goes_to_the_smaller_slice_index() {
+    let v = Point::new(0.0, 0.0);
+    let listeners = [v, Point::new(5.0, -3.0), Point::new(-7.5, 0.25)];
+    let mut vx = [v.x; NEAR_BLOCK];
+    let mut vy = [v.y; NEAR_BLOCK];
+    for (j, p) in listeners.iter().enumerate() {
+        vx[j] = p.x;
+        vy[j] = p.y;
+    }
+    // An earlier tile's entry at (-2.5, 1), a later tile's at (2.5, 1),
+    // plus a weaker entry; `idx` gives their slice indices.
+    let span = |idx: [u32; 3]| Span {
+        xs: vec![-2.5, 2.5, 9.0],
+        ys: vec![1.0, 1.0, 4.0],
+        idx: idx.to_vec(),
+    };
+    for &alpha in &ALPHAS {
+        let gain = |x: f64, y: f64| 3.0 / pow_alpha(Point::new(x, y).distance_sq(v), alpha);
+        assert_eq!(
+            gain(-2.5, 1.0).to_bits(),
+            gain(2.5, 1.0).to_bits(),
+            "mirror gains tie"
+        );
+        // Later-positioned smaller index, then earlier-positioned.
+        for (idx, why) in [
+            ([7, 2, 0], "the later, smaller index wins"),
+            ([2, 7, 0], "the earlier, smaller index keeps it"),
+        ] {
+            let spans = [span(idx)];
+            let mut lanes = NearLanes::default();
+            near_block(
+                3.0,
+                alpha,
+                &spans[0].xs,
+                &spans[0].ys,
+                &spans[0].idx,
+                &vx,
+                &vy,
+                &mut lanes,
+            );
+            assert_eq!(lanes.best_idx[0], 2, "alpha={alpha}: {why}");
+            assert_near_blocks_match_reference(3.0, alpha, &spans, &listeners);
+        }
+    }
 }

@@ -462,9 +462,12 @@ mod tests {
         }
     }
 
+    /// A named way to break a valid spec.
+    type Breakage = (&'static str, Box<dyn Fn(&mut JobSpec)>);
+
     #[test]
     fn rejects_bad_fields() {
-        let cases: Vec<(&str, Box<dyn Fn(&mut JobSpec)>)> = vec![
+        let cases: Vec<Breakage> = vec![
             ("empty id", Box::new(|s| s.id.clear())),
             ("id with slash", Box::new(|s| s.id = "../escape".into())),
             ("n too small", Box::new(|s| s.n = 1)),

@@ -103,6 +103,27 @@ impl Bbox {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
+    /// Conservative `(min, max)` **squared** distance between any point of
+    /// this box and any point of `other`: per axis, the gap between the
+    /// two spans (0 when they overlap) and the reach (the largest
+    /// coordinate difference attainable between them).
+    #[inline]
+    #[must_use]
+    pub fn distance_sq_bounds(&self, other: &Bbox) -> (f64, f64) {
+        let (a, b) = (self, other);
+        let gap = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
+            (b_min - a_max).max(a_min - b_max).max(0.0)
+        };
+        let reach = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
+            (b_max - a_min).max(a_max - b_min)
+        };
+        let gx = gap(a.min.x, a.max.x, b.min.x, b.max.x);
+        let gy = gap(a.min.y, a.max.y, b.min.y, b.max.y);
+        let rx = reach(a.min.x, a.max.x, b.min.x, b.max.x);
+        let ry = reach(a.min.y, a.max.y, b.min.y, b.max.y);
+        (gx * gx + gy * gy, rx * rx + ry * ry)
+    }
+
     /// Squared distance from `p` to the nearest point of the box
     /// (zero if `p` is inside).
     #[must_use]

@@ -55,22 +55,6 @@ pub struct TileTree {
     levels: Vec<TreeLevel>,
 }
 
-/// Conservative `(min, max)` squared distance between two content bboxes
-/// (the gap/reach argument of [`TileIndex::distance_sq_bounds`]).
-fn bbox_distance_sq_bounds(a: &Bbox, b: &Bbox) -> (f64, f64) {
-    let gap = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
-        (b_min - a_max).max(a_min - b_max).max(0.0)
-    };
-    let reach = |a_min: f64, a_max: f64, b_min: f64, b_max: f64| -> f64 {
-        (b_max - a_min).max(a_max - b_min)
-    };
-    let gx = gap(a.min().x, a.max().x, b.min().x, b.max().x);
-    let gy = gap(a.min().y, a.max().y, b.min().y, b.max().y);
-    let rx = reach(a.min().x, a.max().x, b.min().x, b.max().x);
-    let ry = reach(a.min().y, a.max().y, b.min().y, b.max().y);
-    (gx * gx + gy * gy, rx * rx + ry * ry)
-}
-
 impl TileTree {
     /// Builds a tree whose fine level is a `tiles_per_side × tiles_per_side`
     /// tiling (see [`TileIndex::build`] for the `None` conditions).
@@ -282,7 +266,7 @@ impl TileTree {
     ) -> Option<(f64, f64)> {
         let a = self.fine.content_bbox(t)?;
         let b = self.node_bbox(level, idx)?;
-        Some(bbox_distance_sq_bounds(&a, &b))
+        Some(a.distance_sq_bounds(&b))
     }
 }
 

@@ -45,6 +45,9 @@ struct Inner {
     registry: MetricsRegistry,
     job_latency_ms: Histogram,
     queue_depth: u64,
+    /// The highest queue depth seen since the last time-series sample,
+    /// so a burst that drains between two monitor ticks still shows.
+    queue_depth_peak: u64,
     jobs_in_flight: u64,
     // Live trial-granularity counters fed by `record_progress` as events
     // happen, not at job completion — these make the monitor's
@@ -117,9 +120,12 @@ impl ServerMetrics {
         m.jobs_in_flight = m.jobs_in_flight.saturating_sub(1);
     }
 
-    /// Updates the queue-depth gauge.
+    /// Updates the queue-depth gauge and the peak the next time-series
+    /// sample reports.
     pub fn set_queue_depth(&self, depth: u64) {
-        self.lock().queue_depth = depth;
+        let mut m = self.lock();
+        m.queue_depth = depth;
+        m.queue_depth_peak = m.queue_depth_peak.max(depth);
     }
 
     /// Records one live trial-progress event (called from the progress
@@ -155,10 +161,11 @@ impl ServerMetrics {
     /// Snapshots everything a time-series frame needs, stamped `t_ms`.
     /// Trial counters are live (from `record_progress`); engine-tier
     /// counters advance when jobs complete and merge their
-    /// [`EngineCounters`].
+    /// [`EngineCounters`]. The sample's queue depth is the peak since the
+    /// previous sample, which restarts from the current depth.
     #[must_use]
     pub fn ts_sample(&self, t_ms: u64) -> TsSample {
-        let m = self.lock();
+        let mut m = self.lock();
         let mut s = TsSample::at(t_ms);
         s.trials = m.live_trials;
         s.trial_rounds = m.live_trial_rounds;
@@ -167,7 +174,8 @@ impl ServerMetrics {
         s.jobs_completed = m.jobs_completed;
         s.jobs_failed = m.jobs_failed;
         s.observe_counters(&m.counters);
-        s.queue_depth = m.queue_depth;
+        s.queue_depth = m.queue_depth_peak;
+        m.queue_depth_peak = m.queue_depth;
         s.jobs_in_flight = m.jobs_in_flight;
         s
     }
@@ -318,12 +326,21 @@ mod tests {
     use super::*;
     use fading_cr::sim::obs::export::prometheus::parse_prometheus;
 
-    fn sample(samples: &[fading_cr::sim::obs::export::prometheus::PromSample], name: &str) -> f64 {
-        samples
-            .iter()
-            .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("missing sample {name}"))
-            .value
+    /// A counter or gauge sample as the whole number it must be.
+    fn whole(value: f64) -> u64 {
+        format!("{value}")
+            .parse()
+            .unwrap_or_else(|_| panic!("{value} is not a whole number"))
+    }
+
+    fn sample(samples: &[fading_cr::sim::obs::export::prometheus::PromSample], name: &str) -> u64 {
+        whole(
+            samples
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("missing sample {name}"))
+                .value,
+        )
     }
 
     #[test]
@@ -332,9 +349,11 @@ mod tests {
         metrics.record_submitted();
         metrics.record_submitted();
         metrics.record_started();
-        let mut fleet = FleetSummary::default();
-        fleet.trials = 4;
-        fleet.succeeded = 4;
+        let fleet = FleetSummary {
+            trials: 4,
+            succeeded: 4,
+            ..FleetSummary::default()
+        };
         metrics.record_completed(
             Duration::from_millis(12),
             &fleet,
@@ -348,14 +367,14 @@ mod tests {
 
         let text = metrics.render_prometheus();
         let samples = parse_prometheus(&text).expect("scrape must parse");
-        assert_eq!(sample(&samples, "fading_jobs_submitted_total"), 2.0);
-        assert_eq!(sample(&samples, "fading_jobs_completed_total"), 1.0);
-        assert_eq!(sample(&samples, "fading_jobs_failed_total"), 1.0);
-        assert_eq!(sample(&samples, "fading_queue_depth"), 5.0);
-        assert_eq!(sample(&samples, "fading_jobs_in_flight"), 0.0);
-        assert_eq!(sample(&samples, "fading_fleet_succeeded_total"), 4.0);
-        assert_eq!(sample(&samples, "fading_trials_resumed_total"), 1.0);
-        assert_eq!(sample(&samples, "fading_job_latency_ms_count"), 1.0);
+        assert_eq!(sample(&samples, "fading_jobs_submitted_total"), 2);
+        assert_eq!(sample(&samples, "fading_jobs_completed_total"), 1);
+        assert_eq!(sample(&samples, "fading_jobs_failed_total"), 1);
+        assert_eq!(sample(&samples, "fading_queue_depth"), 5);
+        assert_eq!(sample(&samples, "fading_jobs_in_flight"), 0);
+        assert_eq!(sample(&samples, "fading_fleet_succeeded_total"), 4);
+        assert_eq!(sample(&samples, "fading_trials_resumed_total"), 1);
+        assert_eq!(sample(&samples, "fading_job_latency_ms_count"), 1);
     }
 
     #[test]
@@ -397,6 +416,21 @@ mod tests {
     }
 
     #[test]
+    fn queue_depth_samples_report_the_peak_since_the_last_sample() {
+        let metrics = ServerMetrics::new();
+        // A burst that drains before the next sample still shows in it.
+        metrics.set_queue_depth(3);
+        metrics.set_queue_depth(0);
+        assert_eq!(metrics.ts_sample(50).queue_depth, 3);
+        // The next sample starts over from the current depth.
+        assert_eq!(metrics.ts_sample(100).queue_depth, 0);
+        metrics.set_queue_depth(2);
+        metrics.set_queue_depth(1);
+        assert_eq!(metrics.ts_sample(150).queue_depth, 2);
+        assert_eq!(metrics.ts_sample(200).queue_depth, 1);
+    }
+
+    #[test]
     fn alerts_and_watch_drops_reach_the_scrape() {
         let metrics = ServerMetrics::new();
         metrics.record_alert("queue_depth");
@@ -406,7 +440,7 @@ mod tests {
 
         let text = metrics.render_prometheus();
         let samples = parse_prometheus(&text).expect("scrape must parse");
-        assert_eq!(sample(&samples, "fading_watch_dropped_total"), 7.0);
+        assert_eq!(sample(&samples, "fading_watch_dropped_total"), 7);
         let alerts: Vec<_> = samples
             .iter()
             .filter(|s| s.name == "fading_alerts_total")
@@ -416,8 +450,8 @@ mod tests {
             alerts
                 .iter()
                 .find(|s| s.label("rule") == Some("queue_depth"))
-                .map(|s| s.value),
-            Some(2.0)
+                .map(|s| whole(s.value)),
+            Some(2)
         );
     }
 }

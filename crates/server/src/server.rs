@@ -576,6 +576,9 @@ impl Server {
             Ok(Request::Submit(spec)) => match inner.queue.submit(&spec) {
                 Ok(_) => {
                     inner.metrics.record_submitted();
+                    if let Ok(depth) = inner.queue.depth() {
+                        inner.metrics.set_queue_depth(depth as u64);
+                    }
                     ok_response(&[("id", format!("\"{}\"", spec.id))])
                 }
                 Err(e) => {

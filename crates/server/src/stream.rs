@@ -301,8 +301,9 @@ pub struct SloRules {
     /// Alert when watchdog timeouts exceed this many per minute over the
     /// window (a timeout *spike*).
     pub timed_out_per_min_max: Option<f64>,
-    /// Alert when the queue-depth gauge exceeds this (sustained queue
-    /// growth — submissions outpacing workers).
+    /// Alert when a frame's queue depth — the peak since the previous
+    /// frame, so bursts shorter than a tick count — exceeds this
+    /// (submissions outpacing workers).
     pub queue_depth_max: Option<u64>,
 }
 

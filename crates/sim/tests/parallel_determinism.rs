@@ -11,8 +11,8 @@
 //! stealing scheduler.
 
 use fading_channel::{
-    Channel, ChannelPerturbation, LossySinrChannel, RayleighSinrChannel, Reception,
-    SerialExecutor, SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, LossySinrChannel, RayleighSinrChannel, Reception, SerialExecutor,
+    SinrChannel, SinrParams, HIER_TILE_TASK,
 };
 use fading_geom::Deployment;
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
@@ -145,8 +145,8 @@ fn rayleigh_results_invariant_under_hierarchical_and_resolve_threads() {
     assert_hierarchical_and_threads_invariant(|| Box::new(RayleighSinrChannel::new(params())));
 }
 
-/// Channel-level multi-chunk check: a deployment large enough to split
-/// into several `HIER_CHUNK`-sized listener chunks must produce the same
+/// Channel-level multi-task check: a deployment large enough to split
+/// into several [`HIER_TILE_TASK`]-tile listener tasks must produce the same
 /// receptions *and* the same rng cursor under the serial executor and
 /// under pools of 2 and 8 workers — the deterministic-merge contract at
 /// the layer where the parallelism actually lives.
@@ -160,9 +160,16 @@ fn multi_chunk_resolve_is_executor_invariant() {
     let mut rng_seed = SmallRng::seed_from_u64(99);
     let transmitters: Vec<usize> = (0..n).filter(|_| rng_seed.gen_bool(0.25)).collect();
     let listeners: Vec<usize> = (0..n).filter(|i| !transmitters.contains(i)).collect();
+    let probe = ch
+        .build_hierarchical_engine(&positions)
+        .expect("SINR must build a hierarchical engine");
+    let fine = probe.tree().fine();
+    let mut tiles: Vec<usize> = listeners.iter().map(|&v| fine.tile_of(v)).collect();
+    tiles.sort_unstable();
+    tiles.dedup();
     assert!(
-        listeners.len() > 2048,
-        "need multiple HIER_CHUNK-sized chunks for this test to bite"
+        tiles.len() > 2 * HIER_TILE_TASK,
+        "need multiple HIER_TILE_TASK-tile tasks for this test to bite"
     );
 
     let run = |executor: &dyn fading_channel::ChunkExecutor| {
