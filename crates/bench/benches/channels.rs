@@ -52,7 +52,7 @@ fn bench_channels(c: &mut Criterion) {
 /// percent (the acceptance target is < 10%), and the perturbed path with an
 /// active jammer shows the true cost of fault evaluation.
 fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
-    use fading_cr::channel::ChannelPerturbation;
+    use fading_cr::channel::{ChannelPerturbation, Engine, Round};
     use fading_cr::sim::faults::{FaultPlan, Jammer};
 
     let mut group = c.benchmark_group("faulted_vs_unfaulted_n2048");
@@ -71,10 +71,11 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
         let mut rng = SmallRng::seed_from_u64(0);
         b.iter(|| sinr.resolve(&positions, &tx, &rx, &mut rng));
     });
+    let round = Round::new(&positions, &tx, &rx);
     group.bench_function("resolve-perturbed-neutral", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
-        let neutral = ChannelPerturbation::neutral();
-        b.iter(|| sinr.resolve_perturbed(&positions, &tx, &rx, &neutral, &mut rng));
+        let mut out = Vec::new();
+        b.iter(|| sinr.resolve_round(&round, Engine::Exact, &mut rng, &mut out, None));
     });
     let jam: Vec<f64> = positions
         .iter()
@@ -82,8 +83,12 @@ fn bench_faulted_vs_unfaulted(c: &mut Criterion) {
         .collect();
     group.bench_function("resolve-perturbed-jammed", |b| {
         let mut rng = SmallRng::seed_from_u64(0);
-        let perturbation = ChannelPerturbation::new(2.0, &jam);
-        b.iter(|| sinr.resolve_perturbed(&positions, &tx, &rx, &perturbation, &mut rng));
+        let mut out = Vec::new();
+        let jammed = Round {
+            perturbation: ChannelPerturbation::new(2.0, &jam),
+            ..round
+        };
+        b.iter(|| sinr.resolve_round(&jammed, Engine::Exact, &mut rng, &mut out, None));
     });
 
     // Simulation layer: a full round with no plan vs. an empty plan vs. an

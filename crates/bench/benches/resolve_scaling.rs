@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
-use fading_cr::channel::ChannelPerturbation;
+use fading_cr::channel::{Engine, Round};
 use fading_cr::prelude::*;
 
 fn split(n: usize) -> (Vec<usize>, Vec<usize>) {
@@ -47,19 +47,15 @@ fn bench_resolve_scaling(c: &mut Criterion) {
             });
         }
 
-        let mut engine = sinr.build_farfield_engine(&positions);
-        assert!(engine.is_some(), "farfield engine must build at any n");
+        let mut engine = FarFieldEngine::build(&positions, sinr.params())
+            .expect("farfield engine must build at any n");
+        let round = Round::new(&positions, &tx, &rx);
         group.bench_with_input(BenchmarkId::new("farfield", n), &n, |b, _| {
             let mut rng = SmallRng::seed_from_u64(0);
+            let mut out = Vec::new();
             b.iter(|| {
-                sinr.resolve_farfield(
-                    &positions,
-                    &tx,
-                    &rx,
-                    engine.as_mut(),
-                    &ChannelPerturbation::neutral(),
-                    &mut rng,
-                )
+                let engine = Engine::FarField(&mut engine);
+                sinr.resolve_round(&round, engine, &mut rng, &mut out, None);
             });
         });
     }

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fading_cr::channel::ChannelPerturbation;
+use fading_cr::channel::{Engine, Round};
 use fading_cr::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -184,13 +184,15 @@ pub fn run_probe(
 
         let mut tiers = Vec::new();
         let mut rng = SmallRng::seed_from_u64(0);
+        let round = Round::new(&positions, &tx, &rx);
+        let mut buf = Vec::with_capacity(rx.len());
 
+        // Every tier resolves into the same reused buffer, as the
+        // simulator does, so no tier's timing includes an allocation.
         let exact_rx = (n <= EXACT_TIER_CEILING).then(|| {
             let receptions = sinr.resolve(&positions, &tx, &rx, &mut rng);
             let (iters, ms) = time_ms(
-                || {
-                    sinr.resolve(&positions, &tx, &rx, &mut rng);
-                },
+                || sinr.resolve_round(&round, Engine::Exact, &mut rng, &mut buf, None),
                 budget_ms,
             );
             tiers.push(TierSample {
@@ -203,82 +205,45 @@ pub fn run_probe(
 
         let mut farfield_fallback_fraction = 0.0;
         let far_rx = (n <= FARFIELD_TIER_CEILING).then(|| {
-            let mut engine = sinr.build_farfield_engine(&positions);
-            let receptions = sinr.resolve_farfield(
-                &positions,
-                &tx,
-                &rx,
-                engine.as_mut(),
-                &ChannelPerturbation::neutral(),
-                &mut rng,
-            );
+            let mut engine = FarFieldEngine::build(&positions, sinr.params())
+                .expect("a finite deployment builds a far-field engine");
+            let mut resolve = |rng: &mut SmallRng, out: &mut Vec<Reception>| {
+                sinr.resolve_round(&round, Engine::FarField(&mut engine), rng, out, None);
+            };
+            let mut receptions = Vec::new();
+            resolve(&mut rng, &mut receptions);
             if let Some(reference) = &exact_rx {
                 assert_eq!(reference, &receptions, "farfield broke exactness at n={n}");
             }
-            let (iters, ms) = time_ms(
-                || {
-                    sinr.resolve_farfield(
-                        &positions,
-                        &tx,
-                        &rx,
-                        engine.as_mut(),
-                        &ChannelPerturbation::neutral(),
-                        &mut rng,
-                    );
-                },
-                budget_ms,
-            );
+            let (iters, ms) = time_ms(|| resolve(&mut rng, &mut buf), budget_ms);
             tiers.push(TierSample {
                 tier: "farfield",
                 iters,
                 ms_per_round: ms,
             });
-            farfield_fallback_fraction = engine
-                .as_ref()
-                .map(FarFieldEngine::stats)
-                .unwrap_or_default()
-                .fallback_fraction();
+            farfield_fallback_fraction = engine.stats().fallback_fraction();
             receptions
         });
 
-        let mut hier_engine = sinr.build_hierarchical_engine(&positions);
-        let hier_rx = sinr.resolve_hierarchical(
-            &positions,
-            &tx,
-            &rx,
-            hier_engine.as_mut(),
-            &pool,
-            &ChannelPerturbation::neutral(),
-            &mut rng,
-        );
+        let mut hier_engine = HierarchicalFarFieldEngine::build(&positions, sinr.params())
+            .expect("a finite deployment builds a hierarchical engine");
+        let mut resolve = |rng: &mut SmallRng, out: &mut Vec<Reception>| {
+            let engine = Engine::Hierarchical(&mut hier_engine, &pool);
+            sinr.resolve_round(&round, engine, rng, out, None);
+        };
+        let mut hier_rx = Vec::new();
+        resolve(&mut rng, &mut hier_rx);
         // Cross-check against the cheapest independently computed tier.
         if let Some(reference) = exact_rx.as_ref().or(far_rx.as_ref()) {
             assert_eq!(reference, &hier_rx, "hierarchical broke exactness at n={n}");
         }
-        let (iters, ms) = time_ms(
-            || {
-                sinr.resolve_hierarchical(
-                    &positions,
-                    &tx,
-                    &rx,
-                    hier_engine.as_mut(),
-                    &pool,
-                    &ChannelPerturbation::neutral(),
-                    &mut rng,
-                );
-            },
-            budget_ms,
-        );
+        let (iters, ms) = time_ms(|| resolve(&mut rng, &mut buf), budget_ms);
         tiers.push(TierSample {
             tier: "hierarchical",
             iters,
             ms_per_round: ms,
         });
-        let hierarchical_fallback_fraction = hier_engine
-            .as_ref()
-            .map(HierarchicalFarFieldEngine::stats)
-            .unwrap_or_default()
-            .fallback_fraction();
+        let hierarchical_fallback_fraction = hier_engine.stats().fallback_fraction();
 
         let exact_ms = tiers
             .iter()

@@ -6,12 +6,84 @@ use fading_geom::Point;
 
 use crate::{
     ChannelPerturbation, ChunkExecutor, FarFieldEngine, HierarchicalFarFieldEngine, NodeId,
-    Reception, SinrBreakdown,
+    Reception, SinrBreakdown, SinrParams,
 };
 
 pub(crate) mod sealed {
     /// Prevents downstream implementations so the trait can evolve.
     pub trait Sealed {}
+}
+
+/// One round's inputs to [`Channel::resolve_round`]: the deployment, the
+/// disjoint transmitter and listener sets, and the round's
+/// [`ChannelPerturbation`] (always present;
+/// [neutral](ChannelPerturbation::neutral) when no fault is active).
+///
+/// # Example
+///
+/// ```
+/// use fading_channel::{ChannelPerturbation, Round};
+/// use fading_geom::Point;
+///
+/// let pos = [Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
+/// let clean = Round::new(&pos, &[0], &[1]);
+/// assert!(clean.perturbation.is_neutral());
+///
+/// let jam = [0.0, 3.0];
+/// let jammed = Round { perturbation: ChannelPerturbation::new(1.0, &jam), ..clean };
+/// assert!(jammed.perturbation.has_jamming());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Round<'a> {
+    /// Node positions, indexed by [`NodeId`].
+    pub positions: &'a [Point],
+    /// The nodes transmitting this round.
+    pub transmitters: &'a [NodeId],
+    /// The nodes listening this round (disjoint from `transmitters`).
+    pub listeners: &'a [NodeId],
+    /// Noise scaling and jammer interference from a fault plan.
+    pub perturbation: ChannelPerturbation<'a>,
+}
+
+impl<'a> Round<'a> {
+    /// An unperturbed round.
+    #[must_use]
+    pub fn new(
+        positions: &'a [Point],
+        transmitters: &'a [NodeId],
+        listeners: &'a [NodeId],
+    ) -> Self {
+        Round {
+            positions,
+            transmitters,
+            listeners,
+            perturbation: ChannelPerturbation::neutral(),
+        }
+    }
+}
+
+/// The resolve tier offered to [`Channel::resolve_round`]. Every tier makes
+/// the same Equation 1 decision; the far-field engines only prune work whose
+/// outcome is certain, so the receptions are bit-identical whichever tier
+/// serves.
+pub enum Engine<'a> {
+    /// The canonical scan over every (listener, transmitter) pair.
+    Exact,
+    /// The flat tile-pair [`FarFieldEngine`].
+    FarField(&'a mut FarFieldEngine),
+    /// The tile-tree [`HierarchicalFarFieldEngine`], running its passes on
+    /// the given executor.
+    Hierarchical(&'a mut HierarchicalFarFieldEngine, &'a dyn ChunkExecutor),
+}
+
+impl std::fmt::Debug for Engine<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Engine::Exact => "Engine::Exact",
+            Engine::FarField(_) => "Engine::FarField",
+            Engine::Hierarchical(..) => "Engine::Hierarchical",
+        })
+    }
 }
 
 /// A synchronous-round wireless channel model.
@@ -27,147 +99,63 @@ pub(crate) mod sealed {
 /// (the model set is part of the reproduction's fidelity contract). It is
 /// object-safe, so simulators can hold a `Box<dyn Channel>`.
 pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
-    /// Resolves one round: returns what each node in `listeners` observes
-    /// (in the same order as `listeners`).
+    /// Resolves one round: clears `out` and fills it with what each node in
+    /// `round.listeners` observes, in listener order.
     ///
-    /// `transmitters` and `listeners` must be disjoint index sets into
-    /// `positions`; a node cannot transmit and listen in the same round
-    /// (half-duplex, per the model section of the paper).
+    /// `round.transmitters` and `round.listeners` must be disjoint index
+    /// sets into `round.positions`; a node cannot transmit and listen in
+    /// the same round (half-duplex, per the model section of the paper).
+    ///
+    /// Contract (every channel, every argument combination):
+    ///
+    /// * **Tier-exactness.** The receptions and the rng consumption depend
+    ///   only on `round`, never on `engine`. A far-field engine built over
+    ///   the same positions under this channel's
+    ///   [`pruning_params`](Channel::pruning_params) only skips work whose
+    ///   outcome is certain. An engine that does not
+    ///   [match](FarFieldEngine::matches) the round, or any engine on a
+    ///   channel without pruning parameters, falls back to the exact scan.
+    /// * **Perturbation.** A [neutral](ChannelPerturbation::is_neutral)
+    ///   perturbation is indistinguishable from none: the clean
+    ///   denominator `N + I` is used verbatim. Otherwise SINR-family
+    ///   channels multiply `N` by `noise_scale` and add `extra_at(v)` to
+    ///   listener `v`'s denominator. Geometry-free channels (the radio
+    ///   models) ignore `noise_scale` and blanket any jammed listener
+    ///   (`extra_at(v) > 0`): [`Reception::Collision`] on
+    ///   collision-detection channels, [`Reception::Silence`] otherwise.
+    /// * **Instrumentation.** A `Some` breakdown is cleared, the engine is
+    ///   ignored and the exact scan runs. SINR-family channels then push
+    ///   one [`SinrBreakdown`] per listener, in order; the radio models
+    ///   leave it empty. Each breakdown's `decoded` flag reflects the SINR
+    ///   test **before** any post-SINR loss layer. Instrumentation only
+    ///   observes: the receptions and rng state equal an uninstrumented
+    ///   call's.
+    ///
+    /// The engine is `&mut` for its per-round scratch and decision
+    /// counters; the receptions never depend on that mutable state.
+    fn resolve_round(
+        &self,
+        round: &Round<'_>,
+        engine: Engine<'_>,
+        rng: &mut SmallRng,
+        out: &mut Vec<Reception>,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
+    );
+
+    /// Resolves one unperturbed round exactly and returns the receptions:
+    /// shorthand for [`Channel::resolve_round`] with [`Engine::Exact`], a
+    /// fresh output vector and no breakdown.
     fn resolve(
         &self,
         positions: &[Point],
         transmitters: &[NodeId],
         listeners: &[NodeId],
         rng: &mut SmallRng,
-    ) -> Vec<Reception>;
-
-    /// Like [`Channel::resolve`], additionally applying a per-round
-    /// [`ChannelPerturbation`] (noise scaling and jammer interference from
-    /// a fault plan).
-    ///
-    /// Contract:
-    ///
-    /// * A [neutral](ChannelPerturbation::is_neutral) perturbation **must**
-    ///   produce results bit-identical to [`Channel::resolve`]
-    ///   (and consume the rng identically) — every implementation falls
-    ///   back outright, so an empty fault plan is invisible.
-    /// * SINR-family channels add `extra_at(v)` to listener `v`'s
-    ///   interference sum and multiply the ambient noise by `noise_scale`.
-    /// * Geometry-free channels (the radio models) have no SINR denominator
-    ///   to perturb; this default implementation ignores `noise_scale` and
-    ///   treats any jammed listener (`extra_at(v) > 0`) as blanketed:
-    ///   [`Reception::Collision`] on collision-detection channels (energy
-    ///   with no decodable message), [`Reception::Silence`] otherwise.
-    fn resolve_perturbed(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
     ) -> Vec<Reception> {
-        let mut out = self.resolve(positions, transmitters, listeners, rng);
-        if perturbation.has_jamming() {
-            let jammed = if self.supports_collision_detection() {
-                Reception::Collision
-            } else {
-                Reception::Silence
-            };
-            for (slot, &v) in out.iter_mut().zip(listeners) {
-                if perturbation.extra_at(v) > 0.0 {
-                    *slot = jammed;
-                }
-            }
-        }
+        let mut out = Vec::with_capacity(listeners.len());
+        let round = Round::new(positions, transmitters, listeners);
+        self.resolve_round(&round, Engine::Exact, rng, &mut out, None);
         out
-    }
-
-    /// Like [`Channel::resolve_perturbed`], additionally reporting one
-    /// [`SinrBreakdown`] per listener (in listener order) into `breakdown`
-    /// for channels with an SINR decomposition to report.
-    ///
-    /// Contract:
-    ///
-    /// * The returned `Reception` vector is **bit-identical** to what
-    ///   [`Channel::resolve_perturbed`] returns for the same arguments, and
-    ///   the rng is consumed identically — instrumentation observes, it
-    ///   never perturbs. (With a neutral perturbation this transitively
-    ///   equals [`Channel::resolve`].)
-    /// * `breakdown` is cleared first. SINR-family channels then push
-    ///   exactly `listeners.len()` entries, one per listener in order;
-    ///   geometry-free channels (the radio models) leave it empty — they
-    ///   have no SINR to decompose, which is this default implementation.
-    /// * Each breakdown's `decoded` flag reflects the SINR test **before**
-    ///   any post-SINR loss layer (see [`SinrBreakdown`]).
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
-    ) -> Vec<Reception> {
-        breakdown.clear();
-        self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
-    }
-
-    /// Like [`Channel::resolve_perturbed`], optionally consulting a
-    /// [`FarFieldEngine`] for tile-aggregated interference pruning.
-    ///
-    /// The contract is **decision-exactness**: for any channel,
-    /// `resolve_farfield` with an engine built by
-    /// [`Channel::build_farfield_engine`] over the same `positions` returns a `Reception` vector **bit-identical** to
-    /// [`Channel::resolve_perturbed`] (and consumes the `rng` identically —
-    /// the engine is only ever offered to channels whose resolve draws no
-    /// randomness). Passing `None`, an engine that does not
-    /// [match](FarFieldEngine::matches) `positions`, or calling on a
-    /// channel without a pruned path falls back to `resolve_perturbed`
-    /// outright — which is this default implementation.
-    ///
-    /// The engine is `&mut` for its per-round scratch and decision
-    /// counters; the receptions never depend on that mutable state.
-    fn resolve_farfield(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut FarFieldEngine>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let _ = engine;
-        self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
-    }
-
-    /// Like [`Channel::resolve_farfield`], optionally consulting a
-    /// [`HierarchicalFarFieldEngine`] — the tile-tree engine that serves
-    /// deployments beyond the flat engine's tile-count cap — and running
-    /// listener chunks on `executor`.
-    ///
-    /// The contract is the same **decision-exactness** guarantee as
-    /// [`Channel::resolve_farfield`]: with an engine built by
-    /// [`Channel::build_hierarchical_engine`] over the same `positions`,
-    /// the `Reception` vector is **bit-identical** to
-    /// [`Channel::resolve_perturbed`] (and the rng is consumed
-    /// identically), *for any executor* — chunk boundaries are fixed and
-    /// outputs merge in chunk order, so scheduling cannot reach the
-    /// results. Passing `None`, a non-[matching](HierarchicalFarFieldEngine::matches)
-    /// engine, or calling on a channel without a pruned path falls back to
-    /// `resolve_perturbed` outright — which is this default implementation.
-    #[allow(clippy::too_many_arguments)] // mirrors resolve_farfield + the executor
-    fn resolve_hierarchical(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut HierarchicalFarFieldEngine>,
-        executor: &dyn ChunkExecutor,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let _ = (engine, executor);
-        self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
     }
 
     /// The received power at `to` of an external interferer (a jammer)
@@ -184,34 +172,17 @@ pub trait Channel: sealed::Sealed + Send + Sync + std::fmt::Debug {
         power
     }
 
-    /// Builds the [`FarFieldEngine`] this channel can exploit for
-    /// `positions`, or `None` when the model cannot support the
-    /// decision-exactness contract: the radio channels are geometry-free,
-    /// and Rayleigh fading draws per-pair randomness in canonical order
-    /// that pruning would desynchronize.
-    ///
-    /// The engine's memory is bounded by the tile-pair tables
-    /// ([`MAX_TILES_PER_SIDE`](crate::MAX_TILES_PER_SIDE)⁴ entries), not by
-    /// `n²`.
-    fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {
-        let _ = positions;
+    /// The parameters a far-field engine must be built with to serve this
+    /// channel ([`FarFieldEngine::build`],
+    /// [`HierarchicalFarFieldEngine::build`]), or `None` when the model
+    /// cannot support the tier-exactness contract: the radio channels are
+    /// geometry-free, and Rayleigh fading draws per-pair randomness in
+    /// canonical order that pruning would desynchronize.
+    fn pruning_params(&self) -> Option<&SinrParams> {
         None
     }
 
-    /// Builds the [`HierarchicalFarFieldEngine`] this channel can exploit
-    /// for `positions`, or `None` under the same conditions as
-    /// [`Channel::build_farfield_engine`] (the contract is identical; only
-    /// the aggregation structure differs). Memory is linear in the fine
-    /// tile count, so there is no size guard in either direction.
-    fn build_hierarchical_engine(
-        &self,
-        positions: &[Point],
-    ) -> Option<HierarchicalFarFieldEngine> {
-        let _ = positions;
-        None
-    }
-
-    /// Whether [`Channel::resolve`] consumes randomness from its `rng`.
+    /// Whether [`Channel::resolve_round`] consumes randomness from its `rng`.
     ///
     /// `true` (the conservative default) for stochastic channels — Rayleigh
     /// fading draws per-pair coefficients and the lossy channel draws

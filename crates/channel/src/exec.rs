@@ -18,7 +18,7 @@
 
 /// Runs a batch of independent tasks, possibly in parallel.
 ///
-/// See the [module docs](self) for the determinism contract.
+/// See the module docs for the determinism contract.
 pub trait ChunkExecutor: Sync {
     /// Runs `task(i)` for every `i in 0..num_tasks`, returning after all
     /// completed. `task` must be safe to call concurrently from multiple

@@ -31,9 +31,10 @@
 //!
 //! # The decision-exactness contract
 //!
-//! `resolve_farfield` is *not* an approximation: its `Reception` vectors
-//! are **bit-identical** to `resolve` on all inputs. The
-//! pruned path only ever skips work whose outcome is already certain:
+//! A round resolved on [`Engine::FarField`](crate::Engine::FarField) is
+//! *not* an approximation: its `Reception` vectors are **bit-identical**
+//! to the exact scan on all inputs. The pruned path only ever skips work
+//! whose outcome is already certain:
 //!
 //! * **Certain silence** — the exact denominator is at least the (possibly
 //!   jammed, noise-scaled) floor `N`, so if neither the near-field best nor
@@ -53,20 +54,22 @@
 //! Every uncertain case — non-finite intermediate, no near winner, a far
 //! tile that could rival the near best, a bracket that straddles the
 //! threshold — takes the exact fallback. The equivalence proptests in
-//! `tests/farfield_equivalence.rs` enforce the contract end to end, and
+//! `tests/tier_equivalence.rs` (module `farfield`) enforce the contract
+//! end to end, and
 //! `tests/farfield_bounds.rs` checks the bounds bracket real sums and that
 //! adversarial clustered deployments do trigger the fallback.
 //!
 //! Stochastic channels are excluded by design: Rayleigh fading draws one
 //! rng variate per (listener, transmitter) pair in canonical order, so any
 //! pruning would desynchronize the rng stream. `RayleighSinrChannel`
-//! therefore builds no engine and `resolve_farfield` falls back wholesale.
+//! therefore has no pruning parameters, and a round offered an engine
+//! falls back to the exact scan wholesale.
 
 use fading_geom::{Point, PointsSoA, TileIndex};
 
 use crate::kernels::{gain_batch, pow_alpha_batch, ScanScratch};
 use crate::sinr::{exact_reception, scan_transmitters_batched};
-use crate::{ChannelPerturbation, NodeId, Reception, SinrParams};
+use crate::{ChannelPerturbation, NodeId, Reception, Round, SinrParams};
 
 /// Average number of nodes per tile the engine aims for when sizing the
 /// grid (see [`TileIndex::with_target_occupancy`]).
@@ -188,8 +191,9 @@ impl std::ops::AddAssign for FarFieldStats {
 
 /// Per-tile-pair gain bounds plus per-round scratch for the tile-aggregated
 /// resolve. Built once per deployment by
-/// [`Channel::build_farfield_engine`](crate::Channel::build_farfield_engine);
-/// see the [module docs](self) for the algorithm and its exactness
+/// [`FarFieldEngine::build`] under the channel's
+/// [`Channel::pruning_params`](crate::Channel::pruning_params);
+/// see the module docs for the algorithm and its exactness
 /// argument.
 #[derive(Debug, Clone)]
 pub struct FarFieldEngine {
@@ -435,19 +439,24 @@ impl FarFieldEngine {
         self.stats = stats;
     }
 
-    /// Resolves one round with the tile-aggregated fast path; reception
-    /// semantics (and bits) are exactly those of
-    /// [`SinrChannel::resolve`](crate::SinrChannel). `perturbation` must be
-    /// `None` for a neutral perturbation, mirroring the dispatch in
-    /// `SinrChannel::resolve_core`.
+    /// Resolves one round with the tile-aggregated fast path, appending
+    /// one reception per listener to the (empty) `out`; reception
+    /// semantics (and bits) are exactly those of the exact scan in
+    /// [`SinrChannel`](crate::SinrChannel). `perturbation` is `None` for a
+    /// neutral perturbation, as the channel maps it.
     pub(crate) fn resolve_sinr(
         &mut self,
         params: &SinrParams,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
+        round: &Round<'_>,
         perturbation: Option<&ChannelPerturbation<'_>>,
-    ) -> Vec<Reception> {
+        out: &mut Vec<Reception>,
+    ) {
+        let Round {
+            positions,
+            transmitters,
+            listeners,
+            ..
+        } = *round;
         debug_assert!(self.matches(positions, params));
         let p = self.power;
         let alpha = self.alpha;
@@ -462,7 +471,8 @@ impl FarFieldEngine {
             // The canonical loop yields Silence for every listener when
             // nobody transmits (best_tx stays None).
             self.stats.empty_round_silences += listeners.len() as u64;
-            return vec![Reception::Silence; listeners.len()];
+            out.resize(listeners.len(), Reception::Silence);
+            return;
         }
 
         // Bucket this round's transmitters by tile, remembering each
@@ -495,7 +505,7 @@ impl FarFieldEngine {
         let mut near_gains = std::mem::take(&mut self.near_gains);
 
         let num_tiles = self.tiles.num_tiles();
-        let mut out = Vec::with_capacity(listeners.len());
+        out.reserve(listeners.len());
         for &v in listeners {
             let vp = positions[v];
             let lt = self.tiles.tile_of(v);
@@ -591,7 +601,6 @@ impl FarFieldEngine {
         }
         self.scan = scan;
         self.near_gains = near_gains;
-        out
     }
 }
 
@@ -687,6 +696,20 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// One clean round straight through the engine.
+    fn resolve(
+        engine: &mut FarFieldEngine,
+        p: &SinrParams,
+        pos: &[Point],
+        transmitters: &[NodeId],
+        listeners: &[NodeId],
+    ) -> Vec<Reception> {
+        let mut out = Vec::new();
+        let round = Round::new(pos, transmitters, listeners);
+        engine.resolve_sinr(p, &round, None, &mut out);
+        out
+    }
+
     fn params() -> SinrParams {
         SinrParams::builder()
             .power(16.0)
@@ -765,7 +788,7 @@ mod tests {
             .collect();
         let mut rng = SmallRng::seed_from_u64(3);
         let exact = ch.resolve(&pos, &transmitters, &listeners, &mut rng);
-        let fast = engine.resolve_sinr(&p, &pos, &transmitters, &listeners, None);
+        let fast = resolve(&mut engine, &p, &pos, &transmitters, &listeners);
         assert_eq!(exact, fast);
         let s = engine.stats();
         assert_eq!(s.rounds, 1);
@@ -782,7 +805,7 @@ mod tests {
         let pos = lattice(4, 1.0);
         let mut engine = FarFieldEngine::build(&pos, &p).unwrap();
         let listeners: Vec<NodeId> = (0..pos.len()).collect();
-        let rx = engine.resolve_sinr(&p, &pos, &[], &listeners, None);
+        let rx = resolve(&mut engine, &p, &pos, &[], &listeners);
         assert!(rx.iter().all(|r| *r == Reception::Silence));
         assert_eq!(engine.stats().empty_round_silences, pos.len() as u64);
         assert_eq!(engine.stats().fast_decisions(), pos.len() as u64);
@@ -816,7 +839,7 @@ mod tests {
         let p = params();
         let pos = lattice(4, 1.0);
         let mut engine = FarFieldEngine::build(&pos, &p).unwrap();
-        engine.resolve_sinr(&p, &pos, &[], &[0], None);
+        resolve(&mut engine, &p, &pos, &[], &[0]);
         assert_ne!(engine.stats(), FarFieldStats::default());
         engine.reset_stats();
         assert_eq!(engine.stats(), FarFieldStats::default());

@@ -37,8 +37,8 @@
 //! the near scan, and every accepted bracket is certified by the tree's
 //! content bboxes — so the 5-rung decision ladder ([`decide_ladder`]) and
 //! its exactness argument carry over verbatim from the flat engine. The
-//! receptions are **bit-identical** to `resolve`/`resolve_perturbed` on
-//! all inputs; `tests/hierarchical_equivalence.rs` is the oracle that
+//! receptions are **bit-identical** to the exact scan on all inputs;
+//! `tests/tier_equivalence.rs` (module `hierarchical`) is the oracle that
 //! enforces it end to end, and `tests/hierarchical_bounds.rs` checks the
 //! tree brackets themselves.
 //!
@@ -80,7 +80,7 @@ use crate::farfield::{decide_ladder, DecisionInputs};
 use crate::kernels::{near_block, scan_block, NearLanes, LISTENER_BLOCK, NEAR_BLOCK};
 use crate::sinr::{exact_reception, scan_transmitters_soa, ScanOutcome};
 use crate::{
-    pow_alpha, ChannelPerturbation, FarFieldStats, NodeId, Reception, SinrParams,
+    pow_alpha, ChannelPerturbation, FarFieldStats, NodeId, Reception, Round, SinrParams,
     FARFIELD_REL_SLACK,
 };
 
@@ -149,8 +149,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Multi-resolution far-field engine over a [`TileTree`]. Built once per
 /// deployment by
-/// [`Channel::build_hierarchical_engine`](crate::Channel::build_hierarchical_engine);
-/// see the [module docs](self) for the traversal and its exactness
+/// [`HierarchicalFarFieldEngine::build`] under the channel's
+/// [`Channel::pruning_params`](crate::Channel::pruning_params);
+/// see the module docs for the traversal and its exactness
 /// argument.
 #[derive(Debug)]
 pub struct HierarchicalFarFieldEngine {
@@ -642,21 +643,27 @@ impl HierarchicalFarFieldEngine {
         rx
     }
 
-    /// Resolves one round with the tree-aggregated fast path; reception
-    /// semantics (and bits) are exactly those of
-    /// [`SinrChannel::resolve`](crate::SinrChannel). `perturbation` must be
-    /// `None` for a neutral perturbation, mirroring the dispatch in
-    /// `SinrChannel::resolve_core`. The two passes run on `executor`; see
-    /// the [module docs](self) for why scheduling cannot affect results.
+    /// Resolves one round with the tree-aggregated fast path, filling the
+    /// (empty) `out` with one reception per listener; reception semantics
+    /// (and bits) are exactly those of the exact scan in
+    /// [`SinrChannel`](crate::SinrChannel). `perturbation` is `None` for a
+    /// neutral perturbation, as the channel maps it. The two passes run on
+    /// `executor`; see the module docs for why scheduling cannot affect
+    /// results.
     pub(crate) fn resolve_sinr(
         &mut self,
         params: &SinrParams,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
+        round: &Round<'_>,
         perturbation: Option<&ChannelPerturbation<'_>>,
         executor: &dyn ChunkExecutor,
-    ) -> Vec<Reception> {
+        out: &mut Vec<Reception>,
+    ) {
+        let Round {
+            positions,
+            transmitters,
+            listeners,
+            ..
+        } = *round;
         debug_assert!(self.matches(positions, params));
         let beta = params.beta();
         let noise = match perturbation {
@@ -669,7 +676,8 @@ impl HierarchicalFarFieldEngine {
             // The canonical loop yields Silence for every listener when
             // nobody transmits (best_tx stays None).
             self.stats.empty_round_silences += listeners.len() as u64;
-            return vec![Reception::Silence; listeners.len()];
+            out.resize(listeners.len(), Reception::Silence);
+            return;
         }
 
         self.load_transmitters(transmitters);
@@ -680,8 +688,11 @@ impl HierarchicalFarFieldEngine {
         }
 
         // Pass 1 (traverse and decide): runs of listener tiles, each task
-        // scattering its receptions into `out` under one lock.
-        let out = Mutex::new(vec![Reception::Silence; listeners.len()]);
+        // scattering its receptions into `shared` (the caller's buffer,
+        // moved in) under one lock.
+        let mut buf = std::mem::take(out);
+        buf.resize(listeners.len(), Reception::Silence);
+        let shared = Mutex::new(buf);
         {
             let this = &*self;
             executor.run(num_tasks, &|task| {
@@ -699,7 +710,7 @@ impl HierarchicalFarFieldEngine {
                     &mut slot,
                 );
                 let first = this.lis_start[tiles[0] as usize] as usize;
-                let mut out = lock(&out);
+                let mut out = lock(&shared);
                 for (&r, &i) in rx.iter().zip(&this.lis_order[first..]) {
                     out[i as usize] = r;
                 }
@@ -714,7 +725,7 @@ impl HierarchicalFarFieldEngine {
 
         // Pass 2 (fallback): the pending listeners through the exact scan.
         self.resolve_pending(
-            &out,
+            &shared,
             positions,
             transmitters,
             listeners,
@@ -723,7 +734,7 @@ impl HierarchicalFarFieldEngine {
             beta,
             executor,
         );
-        out.into_inner().unwrap_or_else(PoisonError::into_inner)
+        *out = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Writes the canonical exact receptions of the pending listeners
@@ -806,6 +817,20 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// One clean round straight through the engine, run serially.
+    fn resolve(
+        engine: &mut HierarchicalFarFieldEngine,
+        p: &SinrParams,
+        pos: &[Point],
+        transmitters: &[NodeId],
+        listeners: &[NodeId],
+    ) -> Vec<Reception> {
+        let mut out = Vec::new();
+        let round = Round::new(pos, transmitters, listeners);
+        engine.resolve_sinr(p, &round, None, &SerialExecutor, &mut out);
+        out
+    }
+
     fn params() -> SinrParams {
         SinrParams::builder()
             .power(16.0)
@@ -877,7 +902,7 @@ mod tests {
             .collect();
         let mut rng = SmallRng::seed_from_u64(3);
         let exact = ch.resolve(&pos, &transmitters, &listeners, &mut rng);
-        let fast = engine.resolve_sinr(&p, &pos, &transmitters, &listeners, None, &SerialExecutor);
+        let fast = resolve(&mut engine, &p, &pos, &transmitters, &listeners);
         assert_eq!(exact, fast);
         let s = engine.stats();
         assert_eq!(s.rounds, 1);
@@ -903,8 +928,7 @@ mod tests {
                 .collect();
             let mut rng = SmallRng::seed_from_u64(seed);
             let exact = ch.resolve(&pos, &transmitters, &listeners, &mut rng);
-            let fast =
-                engine.resolve_sinr(&p, &pos, &transmitters, &listeners, None, &SerialExecutor);
+            let fast = resolve(&mut engine, &p, &pos, &transmitters, &listeners);
             assert_eq!(exact, fast, "round with step {step}");
         }
         assert_eq!(engine.stats().rounds, 2);
@@ -916,7 +940,7 @@ mod tests {
         let pos = lattice(4, 1.0);
         let mut engine = HierarchicalFarFieldEngine::build(&pos, &p).unwrap();
         let listeners: Vec<NodeId> = (0..pos.len()).collect();
-        let rx = engine.resolve_sinr(&p, &pos, &[], &listeners, None, &SerialExecutor);
+        let rx = resolve(&mut engine, &p, &pos, &[], &listeners);
         assert!(rx.iter().all(|r| *r == Reception::Silence));
         assert_eq!(engine.stats().empty_round_silences, pos.len() as u64);
         assert_eq!(engine.stats().fast_decisions(), pos.len() as u64);

@@ -1,8 +1,9 @@
 //! Batched per-α SINR kernels over structure-of-arrays slices.
 //!
 //! Every engine tier bottoms out in the same per-pair expression:
-//! `gain = P / pow_alpha(d²(u, v), α)`. The scalar [`pow_alpha`] dispatches
-//! on `α` per call — branch-predictable, but the branch (and the AoS
+//! `gain = P / pow_alpha(d²(u, v), α)`. The scalar
+//! [`pow_alpha`](crate::pow_alpha) dispatches on `α` per call —
+//! branch-predictable, but the branch (and the AoS
 //! `Point` loads around it) keep the autovectorizer out of the loop. This
 //! module hoists the dispatch *outside* the loop: [`AlphaClass::of`]
 //! classifies the exponent once, and each batch entry point monomorphizes
@@ -59,10 +60,10 @@ mod private {
 
 /// A path-loss exponent class: computes `d^α` from `d²` with the class's
 /// fixed arithmetic. Sealed — the five implementations below mirror the
-/// fast paths of the scalar [`pow_alpha`] exactly.
+/// fast paths of the scalar [`pow_alpha`](crate::pow_alpha) exactly.
 pub trait AlphaKernel: private::Sealed + Copy {
     /// `d^α` given the squared distance `d²`, bit-identical to the scalar
-    /// [`pow_alpha`] fast path for this class.
+    /// [`pow_alpha`](crate::pow_alpha) fast path for this class.
     fn pow_alpha(self, d_sq: f64) -> f64;
 }
 
@@ -131,8 +132,8 @@ impl AlphaKernel for AlphaGeneric {
 }
 
 /// The exponent classes the batched kernels monomorphize over — the same
-/// set the scalar [`pow_alpha`] special-cases, plus the generic `powf`
-/// remainder.
+/// set the scalar [`pow_alpha`](crate::pow_alpha) special-cases, plus the
+/// generic `powf` remainder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlphaClass {
     /// `α = 2`.
@@ -149,7 +150,7 @@ pub enum AlphaClass {
 
 impl AlphaClass {
     /// Classifies a path-loss exponent, mirroring the scalar
-    /// [`pow_alpha`] dispatch exactly.
+    /// [`pow_alpha`](crate::pow_alpha) dispatch exactly.
     #[must_use]
     pub fn of(alpha: f64) -> Self {
         if alpha == 2.0 {
@@ -222,9 +223,10 @@ fn pow_alpha_batch_with<K: AlphaKernel>(k: K, d_sq: &[f64], out: &mut [f64]) {
     pow_alpha_batch_inner(k, d_sq, out);
 }
 
-/// Batched [`pow_alpha`]: fills `out[i] = pow_alpha(d_sq[i], alpha)` with
-/// one per-α monomorphized pass. Bit-identical to calling the scalar
-/// function element-wise (module docs, "summation-order contract").
+/// Batched [`pow_alpha`](crate::pow_alpha): fills
+/// `out[i] = pow_alpha(d_sq[i], alpha)` with one per-α monomorphized
+/// pass. Bit-identical to calling the scalar function element-wise
+/// (module docs, "summation-order contract").
 ///
 /// # Panics
 ///
@@ -468,7 +470,7 @@ fn scan_block_with<K: AlphaKernel>(
 /// Fused multi-listener scan: folds [`LISTENER_BLOCK`] listeners against
 /// the SoA transmitter slices in a single pass, returning each listener's
 /// [`ScanFold`]. Bit-identical per listener to
-/// `fold_scan(gain_batch(..))` — see [`scan_block_with`] — while hiding
+/// `fold_scan(gain_batch(..))` — see `scan_block_with` — while hiding
 /// the fold's FP-add latency behind the other lanes' work.
 ///
 /// # Panics

@@ -91,7 +91,7 @@ mod reception;
 mod sinr;
 
 pub use breakdown::SinrBreakdown;
-pub use channel::Channel;
+pub use channel::{Channel, Engine, Round};
 pub use error::ChannelError;
 pub use exec::{ChunkExecutor, SerialExecutor};
 pub use farfield::{

@@ -5,11 +5,8 @@ use rand::Rng;
 
 use fading_geom::Point;
 
-use crate::channel::{sealed, Channel};
-use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, HierarchicalFarFieldEngine, NodeId,
-    Reception, SinrBreakdown, SinrChannel, SinrParams,
-};
+use crate::channel::{sealed, Channel, Engine, Round};
+use crate::{Reception, SinrBreakdown, SinrChannel, SinrParams};
 
 /// A SINR channel in which every successfully decoded message is
 /// additionally **dropped** with a fixed probability, independently per
@@ -78,130 +75,42 @@ impl LossySinrChannel {
     pub fn params(&self) -> &SinrParams {
         self.inner.params()
     }
-
-    /// The i.i.d. drop pass every resolve path ends with: each decoded
-    /// message is dropped with `drop_prob`, drawing from `rng` in listener
-    /// order after the inner SINR physics (which draw nothing), so every
-    /// path consumes the rng identically.
-    fn drop_messages(&self, mut receptions: Vec<Reception>, rng: &mut SmallRng) -> Vec<Reception> {
-        if self.drop_prob > 0.0 {
-            for r in &mut receptions {
-                if r.is_message() && rng.gen_bool(self.drop_prob) {
-                    *r = Reception::Silence;
-                }
-            }
-        }
-        receptions
-    }
 }
 
 impl sealed::Sealed for LossySinrChannel {}
 
 impl Channel for LossySinrChannel {
-    fn resolve(
+    fn resolve_round(
         &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
+        round: &Round<'_>,
+        engine: Engine<'_>,
         rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let receptions = self.inner.resolve(positions, transmitters, listeners, rng);
-        self.drop_messages(receptions, rng)
-    }
-
-    fn resolve_perturbed(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        // The perturbation applies to the SINR physics only.
-        let receptions =
-            self.inner
-                .resolve_perturbed(positions, transmitters, listeners, perturbation, rng);
-        self.drop_messages(receptions, rng)
-    }
-
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
-    ) -> Vec<Reception> {
-        // The inner SINR physics produce the breakdowns. A dropped message
+        out: &mut Vec<Reception>,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
+    ) {
+        // The inner SINR physics (any tier, any executor) draw nothing from
+        // the rng; the perturbation applies to them only. A dropped message
         // keeps `decoded = true` in its breakdown — the SINR test passed;
         // the loss layer is a separate, post-SINR effect (see
         // `SinrBreakdown`).
-        let receptions = self.inner.resolve_instrumented(
-            positions,
-            transmitters,
-            listeners,
-            perturbation,
-            rng,
-            breakdown,
-        );
-        self.drop_messages(receptions, rng)
-    }
-
-    fn resolve_farfield(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut FarFieldEngine>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let receptions = self.inner.resolve_farfield(
-            positions,
-            transmitters,
-            listeners,
-            engine,
-            perturbation,
-            rng,
-        );
-        self.drop_messages(receptions, rng)
-    }
-
-    fn resolve_hierarchical(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut HierarchicalFarFieldEngine>,
-        executor: &dyn ChunkExecutor,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        // The pruned path draws nothing from the rng on any executor; the
-        // drop pass then runs serially in listener order.
-        let receptions = self.inner.resolve_hierarchical(
-            positions,
-            transmitters,
-            listeners,
-            engine,
-            executor,
-            perturbation,
-            rng,
-        );
-        self.drop_messages(receptions, rng)
+        self.inner.resolve_round(round, engine, rng, out, breakdown);
+        // The i.i.d. drop pass, serially in listener order: each decoded
+        // message is dropped with `drop_prob`.
+        if self.drop_prob > 0.0 {
+            for r in out.iter_mut() {
+                if r.is_message() && rng.gen_bool(self.drop_prob) {
+                    *r = Reception::Silence;
+                }
+            }
+        }
     }
 
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         self.inner.interferer_gain(from, to, power)
     }
 
-    fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {
-        self.inner.build_farfield_engine(positions)
-    }
-
-    fn build_hierarchical_engine(&self, positions: &[Point]) -> Option<HierarchicalFarFieldEngine> {
-        self.inner.build_hierarchical_engine(positions)
+    fn pruning_params(&self) -> Option<&SinrParams> {
+        self.inner.pruning_params()
     }
 
     fn name(&self) -> &'static str {

@@ -10,10 +10,10 @@
 //!
 //! Determinism contract: a [neutral](ChannelPerturbation::is_neutral)
 //! perturbation must be indistinguishable from no perturbation at all —
-//! [`Channel::resolve_perturbed`](crate::Channel::resolve_perturbed) falls
-//! back to [`Channel::resolve`](crate::Channel::resolve)
-//! outright, consuming the rng identically, so fault-capable simulations
-//! with an empty plan are byte-identical to plain ones.
+//! [`Channel::resolve_round`](crate::Channel::resolve_round) then uses the
+//! clean denominator verbatim and consumes the rng identically, so
+//! fault-capable simulations with an empty plan are byte-identical to
+//! plain ones.
 
 use crate::NodeId;
 

@@ -2,10 +2,34 @@
 
 use rand::rngs::SmallRng;
 
-use fading_geom::Point;
+use crate::channel::{sealed, Channel, Engine, Round};
+use crate::{Reception, SinrBreakdown};
 
-use crate::channel::{sealed, Channel};
-use crate::{NodeId, Reception};
+/// The radio models' one resolve: every listener observes `outcome`, except
+/// jammed ones (`extra_at(v) > 0`), which observe `jammed`. A
+/// geometry-free channel has no SINR denominator to perturb, so the noise
+/// scale is ignored and any jammer blankets its listener; there is no
+/// breakdown to report, and no engine to consult.
+fn fill_radio(
+    round: &Round<'_>,
+    outcome: Reception,
+    jammed: Reception,
+    out: &mut Vec<Reception>,
+    breakdown: Option<&mut Vec<SinrBreakdown>>,
+) {
+    if let Some(b) = breakdown {
+        b.clear();
+    }
+    let pt = &round.perturbation;
+    out.clear();
+    out.extend(round.listeners.iter().map(|&v| {
+        if pt.extra_at(v) > 0.0 {
+            jammed
+        } else {
+            outcome
+        }
+    }));
+}
 
 /// The classical single-hop radio network model (Chlamtac–Kutten /
 /// Bar-Yehuda–Goldreich–Itai): a listener receives a message iff **exactly
@@ -49,21 +73,19 @@ impl RadioChannel {
 impl sealed::Sealed for RadioChannel {}
 
 impl Channel for RadioChannel {
-    fn resolve(
+    fn resolve_round(
         &self,
-        _positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
+        round: &Round<'_>,
+        _engine: Engine<'_>,
         _rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let outcome = if transmitters.len() == 1 {
-            Reception::Message {
-                from: transmitters[0],
-            }
-        } else {
-            Reception::Silence
+        out: &mut Vec<Reception>,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
+    ) {
+        let outcome = match round.transmitters {
+            &[from] => Reception::Message { from },
+            _ => Reception::Silence,
         };
-        vec![outcome; listeners.len()]
+        fill_radio(round, outcome, Reception::Silence, out, breakdown);
     }
 
     fn resolve_draws_rng(&self) -> bool {
@@ -112,21 +134,20 @@ impl RadioCdChannel {
 impl sealed::Sealed for RadioCdChannel {}
 
 impl Channel for RadioCdChannel {
-    fn resolve(
+    fn resolve_round(
         &self,
-        _positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
+        round: &Round<'_>,
+        _engine: Engine<'_>,
         _rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let outcome = match transmitters.len() {
-            0 => Reception::Silence,
-            1 => Reception::Message {
-                from: transmitters[0],
-            },
+        out: &mut Vec<Reception>,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
+    ) {
+        let outcome = match round.transmitters {
+            [] => Reception::Silence,
+            &[from] => Reception::Message { from },
             _ => Reception::Collision,
         };
-        vec![outcome; listeners.len()]
+        fill_radio(round, outcome, Reception::Collision, out, breakdown);
     }
 
     fn resolve_draws_rng(&self) -> bool {
@@ -145,6 +166,7 @@ impl Channel for RadioCdChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fading_geom::Point;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {

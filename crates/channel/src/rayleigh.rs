@@ -5,10 +5,10 @@ use rand::Rng;
 
 use fading_geom::Point;
 
-use crate::channel::{sealed, Channel};
+use crate::channel::{sealed, Channel, Engine, Round};
 use crate::kernels::{gain_batch, ScanScratch};
 use crate::sinr::pow_alpha;
-use crate::{ChannelPerturbation, NodeId, Reception, SinrBreakdown, SinrParams};
+use crate::{NodeId, Reception, SinrBreakdown, SinrParams};
 
 /// A SINR channel with Rayleigh fading: every transmitter–listener power
 /// gain is multiplied by an independent `Exp(1)` coefficient, redrawn each
@@ -54,23 +54,44 @@ impl RayleighSinrChannel {
     pub fn params(&self) -> &SinrParams {
         &self.params
     }
+}
 
-    /// The single resolve loop every public path funnels through — the
-    /// Rayleigh counterpart of `SinrChannel::resolve_core`, with one
-    /// `Exp(1)` fade drawn per (listener, transmitter) pair in loop order.
-    /// Because the fade draws happen in the exact same sequence regardless
-    /// of `perturbation` or `breakdown`, every wrapper consumes
-    /// the rng identically and the bit-exactness contracts hold by
-    /// construction.
-    fn resolve_core(
+/// Draws an `Exp(1)` variate (the power gain of a Rayleigh amplitude).
+fn exp1(rng: &mut SmallRng) -> f64 {
+    // Inverse CDF; guard the log away from 0.
+    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    -u.ln()
+}
+
+impl sealed::Sealed for RayleighSinrChannel {}
+
+impl Channel for RayleighSinrChannel {
+    /// The Rayleigh counterpart of the SINR exact scan, with one `Exp(1)`
+    /// fade drawn per (listener, transmitter) pair in loop order. Because
+    /// the fade draws happen in the exact same sequence whatever the
+    /// perturbation, engine or breakdown, every call consumes the rng
+    /// identically. Pruning would skip draws, so every engine falls back
+    /// to this scan.
+    fn resolve_round(
         &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: Option<&ChannelPerturbation<'_>>,
+        round: &Round<'_>,
+        _engine: Engine<'_>,
         rng: &mut SmallRng,
+        out: &mut Vec<Reception>,
         mut breakdown: Option<&mut Vec<SinrBreakdown>>,
-    ) -> Vec<Reception> {
+    ) {
+        let Round {
+            positions,
+            transmitters,
+            listeners,
+            ..
+        } = *round;
+        out.clear();
+        if let Some(b) = breakdown.as_deref_mut() {
+            b.clear();
+        }
+        // A neutral perturbation routes to the clean denominator grouping.
+        let perturbation = Some(&round.perturbation).filter(|pt| !pt.is_neutral());
         let p = self.params.power();
         let alpha = self.params.alpha();
         let beta = self.params.beta();
@@ -84,7 +105,6 @@ impl RayleighSinrChannel {
         // rng stream (and thus every result) is unchanged by the batching.
         let mut scratch = ScanScratch::new();
         scratch.gather(positions, transmitters);
-        let mut out = Vec::with_capacity(listeners.len());
         for &v in listeners {
             let vp = positions[v];
             scratch.gains.resize(transmitters.len(), 0.0);
@@ -132,73 +152,17 @@ impl RayleighSinrChannel {
             }
             out.push(reception);
         }
-        out
-    }
-}
-
-/// Draws an `Exp(1)` variate (the power gain of a Rayleigh amplitude).
-fn exp1(rng: &mut SmallRng) -> f64 {
-    // Inverse CDF; guard the log away from 0.
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln()
-}
-
-impl sealed::Sealed for RayleighSinrChannel {}
-
-impl Channel for RayleighSinrChannel {
-    fn resolve(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        self.resolve_core(positions, transmitters, listeners, None, rng, None)
-    }
-
-    fn resolve_perturbed(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-        self.resolve_core(positions, transmitters, listeners, perturbation, rng, None)
-    }
-
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
-    ) -> Vec<Reception> {
-        breakdown.clear();
-        let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-        self.resolve_core(
-            positions,
-            transmitters,
-            listeners,
-            perturbation,
-            rng,
-            Some(breakdown),
-        )
     }
 
     fn interferer_gain(&self, from: Point, to: Point, power: f64) -> f64 {
         power / pow_alpha(from.distance_sq(to), self.params.alpha())
     }
 
-    // No `build_farfield_engine` or `build_hierarchical_engine` override:
-    // this channel draws one fade per (listener, transmitter) pair in
-    // canonical order, so skipping any pair would desynchronize the rng
-    // stream — pruning cannot be decision-exact here. The trait defaults
-    // (no engine, wholesale fallback) are the correct behavior, not an
-    // omission.
+    // No `pruning_params` override: this channel draws one fade per
+    // (listener, transmitter) pair in canonical order, so skipping any
+    // pair would desynchronize the rng stream — pruning cannot be
+    // decision-exact here. The trait default (no engine, wholesale
+    // fallback) is the correct behavior, not an omission.
 
     fn name(&self) -> &'static str {
         "rayleigh-sinr"

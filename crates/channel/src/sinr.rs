@@ -4,12 +4,9 @@ use rand::rngs::SmallRng;
 
 use fading_geom::Point;
 
-use crate::channel::{sealed, Channel};
+use crate::channel::{sealed, Channel, Engine, Round};
 use crate::kernels::{fold_scan, gain_batch, scan_block, ScanFold, ScanScratch, LISTENER_BLOCK};
-use crate::{
-    ChannelPerturbation, ChunkExecutor, FarFieldEngine, HierarchicalFarFieldEngine, NodeId,
-    Reception, SinrBreakdown, SinrParams,
-};
+use crate::{ChannelPerturbation, NodeId, Reception, SinrBreakdown, SinrParams};
 
 /// Computes `d^alpha` given the *squared* distance `d_sq = d²`.
 ///
@@ -117,7 +114,7 @@ pub(crate) fn scan_transmitters_soa(
 
 /// The canonical SINR test on a finished scan: the far-field engines'
 /// exact fallbacks end here. The denominator grouping is the one
-/// `SinrChannel::resolve_core` uses, clean (`extra = None`) or perturbed.
+/// `SinrChannel::resolve_exact` uses, clean (`extra = None`) or perturbed.
 #[inline]
 pub(crate) fn exact_reception(
     ScanOutcome {
@@ -218,28 +215,30 @@ impl SinrChannel {
         }
     }
 
-    /// The single resolve loop every public path funnels through.
-    ///
-    /// All three exact trait entry points (`resolve`, `resolve_perturbed`,
-    /// `resolve_instrumented`) are thin wrappers over this function, so
-    /// their bit-exactness contracts hold *by construction* rather than by
-    /// keeping parallel loops in sync:
+    /// The exact scan: every listener against every transmitter, through
+    /// the batched kernels. The far-field engines' fallbacks reproduce
+    /// its arithmetic.
     ///
     /// * `perturbation = None` uses the clean denominator grouping
     ///   `noise + (total - best_sig)`; `Some` uses the perturbed grouping
-    ///   `scaled_noise + extra + (total - best_sig)`. Callers map neutral
-    ///   perturbations to `None`, which preserves the historical clean-path
-    ///   expressions exactly.
+    ///   `scaled_noise + extra + (total - best_sig)`. The caller maps
+    ///   neutral perturbations to `None`, which preserves the historical
+    ///   clean-path expressions exactly.
     /// * `breakdown`, when supplied, only *reads* the already-computed
     ///   terms — it cannot alter the decision.
-    fn resolve_core(
+    fn resolve_exact(
         &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
+        round: &Round<'_>,
         perturbation: Option<&ChannelPerturbation<'_>>,
+        out: &mut Vec<Reception>,
         mut breakdown: Option<&mut Vec<SinrBreakdown>>,
-    ) -> Vec<Reception> {
+    ) {
+        let Round {
+            positions,
+            transmitters,
+            listeners,
+            ..
+        } = *round;
         let p = self.params.power();
         let alpha = self.params.alpha();
         let beta = self.params.beta();
@@ -247,7 +246,6 @@ impl SinrChannel {
             Some(pt) => self.params.noise() * pt.noise_scale(),
             None => self.params.noise(),
         };
-        let mut out = Vec::with_capacity(listeners.len());
         // Shared per-listener epilogue: the jammer term is looked up once
         // per listener and feeds both the denominator and the breakdown.
         // The scaled noise and the jammer term join the denominator exactly
@@ -313,7 +311,7 @@ impl SinrChannel {
                         best_sig: fold.best_sig,
                         best_tx: fold.best_idx.map(|i| transmitters[i]),
                     };
-                    finish(v, outcome, &mut out, &mut breakdown);
+                    finish(v, outcome, out, &mut breakdown);
                 }
             } else {
                 for &v in block {
@@ -325,111 +323,40 @@ impl SinrChannel {
                         transmitters,
                         &mut scratch,
                     );
-                    finish(v, outcome, &mut out, &mut breakdown);
+                    finish(v, outcome, out, &mut breakdown);
                 }
             }
         }
-        out
     }
 }
 
 impl sealed::Sealed for SinrChannel {}
 
 impl Channel for SinrChannel {
-    fn resolve(
+    fn resolve_round(
         &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
+        round: &Round<'_>,
+        engine: Engine<'_>,
         _rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        self.resolve_core(positions, transmitters, listeners, None, None)
-    }
-
-    fn resolve_perturbed(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        _rng: &mut SmallRng,
-    ) -> Vec<Reception> {
+        out: &mut Vec<Reception>,
+        breakdown: Option<&mut Vec<SinrBreakdown>>,
+    ) {
+        out.clear();
         // A neutral perturbation routes to the clean denominator grouping.
-        let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-        self.resolve_core(positions, transmitters, listeners, perturbation, None)
-    }
-
-    fn resolve_instrumented(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        perturbation: &ChannelPerturbation<'_>,
-        _rng: &mut SmallRng,
-        breakdown: &mut Vec<SinrBreakdown>,
-    ) -> Vec<Reception> {
-        breakdown.clear();
-        // A neutral perturbation routes to the clean denominator grouping,
-        // exactly as the uninstrumented dispatch does.
-        let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-        self.resolve_core(
-            positions,
-            transmitters,
-            listeners,
-            perturbation,
-            Some(breakdown),
-        )
-    }
-
-    fn resolve_farfield(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut FarFieldEngine>,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        match engine.filter(|e| e.matches(positions, &self.params)) {
-            Some(e) => {
-                // A neutral perturbation routes to the clean denominator
-                // grouping, exactly as resolve_core's dispatch does.
-                let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-                e.resolve_sinr(&self.params, positions, transmitters, listeners, perturbation)
+        let perturbation = Some(&round.perturbation).filter(|pt| !pt.is_neutral());
+        let (positions, params) = (round.positions, &self.params);
+        match (engine, breakdown) {
+            (_, Some(b)) => {
+                b.clear();
+                self.resolve_exact(round, perturbation, out, Some(b));
             }
-            None => {
-                self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
+            (Engine::FarField(e), None) if e.matches(positions, params) => {
+                e.resolve_sinr(params, round, perturbation, out);
             }
-        }
-    }
-
-    fn resolve_hierarchical(
-        &self,
-        positions: &[Point],
-        transmitters: &[NodeId],
-        listeners: &[NodeId],
-        engine: Option<&mut HierarchicalFarFieldEngine>,
-        executor: &dyn ChunkExecutor,
-        perturbation: &ChannelPerturbation<'_>,
-        rng: &mut SmallRng,
-    ) -> Vec<Reception> {
-        match engine.filter(|e| e.matches(positions, &self.params)) {
-            Some(e) => {
-                // A neutral perturbation routes to the clean denominator
-                // grouping, exactly as resolve_core's dispatch does.
-                let perturbation = Some(perturbation).filter(|pt| !pt.is_neutral());
-                e.resolve_sinr(
-                    &self.params,
-                    positions,
-                    transmitters,
-                    listeners,
-                    perturbation,
-                    executor,
-                )
+            (Engine::Hierarchical(e, executor), None) if e.matches(positions, params) => {
+                e.resolve_sinr(params, round, perturbation, executor, out);
             }
-            None => {
-                self.resolve_perturbed(positions, transmitters, listeners, perturbation, rng)
-            }
+            _ => self.resolve_exact(round, perturbation, out, None),
         }
     }
 
@@ -437,12 +364,8 @@ impl Channel for SinrChannel {
         power / pow_alpha(from.distance_sq(to), self.params.alpha())
     }
 
-    fn build_farfield_engine(&self, positions: &[Point]) -> Option<FarFieldEngine> {
-        FarFieldEngine::build(positions, &self.params)
-    }
-
-    fn build_hierarchical_engine(&self, positions: &[Point]) -> Option<HierarchicalFarFieldEngine> {
-        HierarchicalFarFieldEngine::build(positions, &self.params)
+    fn pruning_params(&self) -> Option<&SinrParams> {
+        Some(&self.params)
     }
 
     fn resolve_draws_rng(&self) -> bool {

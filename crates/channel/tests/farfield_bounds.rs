@@ -2,7 +2,7 @@
 //! deployments engineered to force the exact-fallback rung of the decision
 //! ladder.
 //!
-//! The equivalence oracle (`farfield_equivalence.rs`) proves the *end*
+//! The equivalence oracle (`tier_equivalence.rs`) proves the *end*
 //! result is bit-exact; these tests prove the *means*: every cached tile
 //! pair's gain interval genuinely brackets the exact per-pair gains (the
 //! invariant the decision ladder's correctness argument rests on), and
@@ -10,7 +10,7 @@
 //! does fall back rather than guess.
 
 use fading_channel::{
-    pow_alpha, Channel, ChannelPerturbation, FarFieldEngine, Reception, SinrChannel, SinrParams,
+    pow_alpha, Channel, Engine, FarFieldEngine, Reception, Round, SinrChannel, SinrParams,
     NEAR_RING,
 };
 use fading_geom::Point;
@@ -26,6 +26,29 @@ fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
         .power(power)
         .build()
         .expect("strategy stays in the valid range")
+}
+
+/// One round through the flat engine, or through the exact scan when
+/// `engine` is `None`.
+fn resolve_on(
+    ch: &SinrChannel,
+    positions: &[Point],
+    tx: &[usize],
+    ls: &[usize],
+    engine: Option<&mut FarFieldEngine>,
+    seed: u64,
+) -> Vec<Reception> {
+    let mut out = Vec::new();
+    let engine = engine.map_or(Engine::Exact, Engine::FarField);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    ch.resolve_round(
+        &Round::new(positions, tx, ls),
+        engine,
+        &mut rng,
+        &mut out,
+        None,
+    );
+    out
 }
 
 /// Clustered deployments: a handful of dense clumps with wide gaps between
@@ -123,14 +146,7 @@ proptest! {
         }
         let mut engine = FarFieldEngine::build_with_tiling(&positions, &params, tiles_per_side);
         let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(seed));
-        let fast = ch.resolve_farfield(
-            &positions,
-            &tx,
-            &ls,
-            engine.as_mut(),
-            &ChannelPerturbation::neutral(),
-            &mut SmallRng::seed_from_u64(seed),
-        );
+        let fast = resolve_on(&ch, &positions, &tx, &ls, engine.as_mut(), seed);
         prop_assert_eq!(exact, fast);
     }
 }
@@ -180,14 +196,7 @@ fn knife_edge_margin_forces_exact_fallback() {
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(7));
-    let fast = ch.resolve_farfield(
-        &positions,
-        &tx,
-        &ls,
-        engine.as_mut(),
-        &ChannelPerturbation::neutral(),
-        &mut SmallRng::seed_from_u64(7),
-    );
+    let fast = resolve_on(&ch, &positions, &tx, &ls, engine.as_mut(), 7);
     assert_eq!(exact, fast);
     // The margin is exactly zero, so the bracket cannot settle it: the
     // decision must have come from the exact fallback rung.
@@ -232,14 +241,7 @@ fn far_only_cluster_forces_fallback_and_decodes() {
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(21));
-    let fast = ch.resolve_farfield(
-        &positions,
-        &tx,
-        &ls,
-        engine.as_mut(),
-        &ChannelPerturbation::neutral(),
-        &mut SmallRng::seed_from_u64(21),
-    );
+    let fast = resolve_on(&ch, &positions, &tx, &ls, engine.as_mut(), 21);
     assert_eq!(exact, fast);
     assert_eq!(
         exact,

@@ -2,7 +2,7 @@
 //! brackets, plus adversarial deployments engineered to hit the exact
 //! fallback from a coarse (multi-tile) aggregate.
 //!
-//! The equivalence oracle (`hierarchical_equivalence.rs`) proves the *end*
+//! The equivalence oracle (`tier_equivalence.rs`) proves the *end*
 //! result is bit-exact; these tests prove the *means*: every tree node's
 //! `[d_min², d_max²]` certificate, at every level and against every
 //! listener tile, genuinely brackets the summed exact gain of its members
@@ -12,8 +12,8 @@
 //! rather than guess.
 
 use fading_channel::{
-    pow_alpha, Channel, ChannelPerturbation, HierarchicalFarFieldEngine, Reception,
-    SerialExecutor, SinrChannel, SinrParams, HIER_NEAR_RING,
+    pow_alpha, Channel, Engine, HierarchicalFarFieldEngine, Reception, Round, SerialExecutor,
+    SinrChannel, SinrParams, HIER_NEAR_RING,
 };
 use fading_geom::{Point, TileTree};
 use proptest::prelude::*;
@@ -28,6 +28,29 @@ fn params_with(alpha: f64, beta: f64, noise: f64, power: f64) -> SinrParams {
         .power(power)
         .build()
         .expect("strategy stays in the valid range")
+}
+
+/// One round through the tree engine (serially), or through the exact
+/// scan when `engine` is `None`.
+fn resolve_on(
+    ch: &SinrChannel,
+    positions: &[Point],
+    tx: &[usize],
+    ls: &[usize],
+    engine: Option<&mut HierarchicalFarFieldEngine>,
+    seed: u64,
+) -> Vec<Reception> {
+    let mut out = Vec::new();
+    let engine = engine.map_or(Engine::Exact, |e| Engine::Hierarchical(e, &SerialExecutor));
+    let mut rng = SmallRng::seed_from_u64(seed);
+    ch.resolve_round(
+        &Round::new(positions, tx, ls),
+        engine,
+        &mut rng,
+        &mut out,
+        None,
+    );
+    out
 }
 
 /// Clustered deployments: a handful of dense clumps with wide gaps between
@@ -280,15 +303,7 @@ fn coarse_knife_edge_margin_forces_exact_fallback() {
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(7));
-    let fast = ch.resolve_hierarchical(
-        &positions,
-        &tx,
-        &ls,
-        engine.as_mut(),
-        &SerialExecutor,
-        &ChannelPerturbation::neutral(),
-        &mut SmallRng::seed_from_u64(7),
-    );
+    let fast = resolve_on(&ch, &positions, &tx, &ls, engine.as_mut(), 7);
     assert_eq!(exact, fast);
     // The margin is exactly zero, so the bracket cannot settle it: the
     // decision must have come from the exact fallback rung.
@@ -331,15 +346,7 @@ fn far_only_sender_forces_fallback_and_decodes() {
     }
 
     let exact = ch.resolve(&positions, &tx, &ls, &mut SmallRng::seed_from_u64(21));
-    let fast = ch.resolve_hierarchical(
-        &positions,
-        &tx,
-        &ls,
-        engine.as_mut(),
-        &SerialExecutor,
-        &ChannelPerturbation::neutral(),
-        &mut SmallRng::seed_from_u64(21),
-    );
+    let fast = resolve_on(&ch, &positions, &tx, &ls, engine.as_mut(), 21);
     assert_eq!(exact, fast);
     assert_eq!(
         exact,

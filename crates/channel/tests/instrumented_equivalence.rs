@@ -1,16 +1,19 @@
 //! Instrumented/uninstrumented equivalence oracle.
 //!
-//! The contract under test ([`Channel::resolve_instrumented`]) is that
-//! instrumentation is a pure observer: for every channel and
-//! perturbation, the instrumented path returns a `Reception` vector
-//! **bit-identical** to [`Channel::resolve_perturbed`] on the same inputs
+//! The contract under test ([`Channel::resolve_round`] with a `Some`
+//! breakdown) is that instrumentation is a pure observer: for every
+//! channel and perturbation, an instrumented round returns a `Reception`
+//! vector **bit-identical** to an uninstrumented one on the same inputs
 //! while consuming the rng identically, and the reported
 //! [`SinrBreakdown`]s are internally consistent with the decisions
-//! (`decoded ⇔ margin ≥ 0 ⇔ Reception::Message`).
+//! (`decoded ⇔ margin ≥ 0 ⇔ Reception::Message`). A requested breakdown
+//! also overrides any offered engine: the round runs the exact scan, and
+//! the engine is left untouched.
 
 use fading_channel::{
-    Channel, ChannelPerturbation, LossySinrChannel, RadioCdChannel, RadioChannel,
-    RayleighSinrChannel, Reception, SinrBreakdown, SinrChannel, SinrParams,
+    Channel, ChannelPerturbation, Engine, FarFieldEngine, HierarchicalFarFieldEngine,
+    LossySinrChannel, RadioCdChannel, RadioChannel, RayleighSinrChannel, Reception, Round,
+    SerialExecutor, SinrBreakdown, SinrChannel, SinrParams,
 };
 use fading_geom::Point;
 use proptest::prelude::*;
@@ -54,9 +57,35 @@ fn params() -> SinrParams {
         .unwrap()
 }
 
-/// Asserts the instrumented path matches `resolve_perturbed` bit for bit
-/// (receptions and final rng state), and sanity checks the breakdowns
-/// when the channel reports them.
+/// One round through [`Channel::resolve_round`] on `engine`, into a
+/// fresh output vector.
+fn resolve_with<C: Channel>(
+    ch: &C,
+    round: &Round<'_>,
+    engine: Engine<'_>,
+    rng: &mut SmallRng,
+    breakdown: Option<&mut Vec<SinrBreakdown>>,
+) -> Vec<Reception> {
+    let mut out = Vec::new();
+    ch.resolve_round(round, engine, rng, &mut out, breakdown);
+    out
+}
+
+/// A breakdown no channel produces, to prove stale entries are cleared.
+const STALE_BREAKDOWN: SinrBreakdown = SinrBreakdown {
+    listener: usize::MAX,
+    best_tx: None,
+    signal: -1.0,
+    interference: -1.0,
+    noise: -1.0,
+    extra: -1.0,
+    margin: -1.0,
+    decoded: false,
+};
+
+/// Asserts an instrumented round matches an uninstrumented one bit for
+/// bit (receptions and final rng state), and sanity checks the
+/// breakdowns when the channel reports them.
 fn assert_instrumented_equiv<C: Channel>(
     ch: &C,
     positions: &[Point],
@@ -66,26 +95,20 @@ fn assert_instrumented_equiv<C: Channel>(
     seed: u64,
     expect_breakdowns: bool,
 ) {
+    let round = Round {
+        perturbation: *perturbation,
+        ..Round::new(positions, tx, ls)
+    };
     let mut rng_plain = SmallRng::seed_from_u64(seed);
     let mut rng_inst = SmallRng::seed_from_u64(seed);
-    let plain = ch.resolve_perturbed(positions, tx, ls, perturbation, &mut rng_plain);
-    let mut breakdown: Vec<SinrBreakdown> = vec![SinrBreakdown {
-        listener: usize::MAX,
-        best_tx: None,
-        signal: -1.0,
-        interference: -1.0,
-        noise: -1.0,
-        extra: -1.0,
-        margin: -1.0,
-        decoded: false,
-    }];
-    let inst = ch.resolve_instrumented(
-        positions,
-        tx,
-        ls,
-        perturbation,
+    let plain = resolve_with(ch, &round, Engine::Exact, &mut rng_plain, None);
+    let mut breakdown = vec![STALE_BREAKDOWN];
+    let inst = resolve_with(
+        ch,
+        &round,
+        Engine::Exact,
         &mut rng_inst,
-        &mut breakdown,
+        Some(&mut breakdown),
     );
     assert_eq!(
         plain,
@@ -212,14 +235,8 @@ fn breakdown_terms_recompose_equation_one() {
     ];
     let mut breakdown = Vec::new();
     let mut rng = SmallRng::seed_from_u64(0);
-    let rx = ch.resolve_instrumented(
-        &pos,
-        &[1, 2],
-        &[0],
-        &ChannelPerturbation::neutral(),
-        &mut rng,
-        &mut breakdown,
-    );
+    let round = Round::new(&pos, &[1, 2], &[0]);
+    let rx = resolve_with(&ch, &round, Engine::Exact, &mut rng, Some(&mut breakdown));
     assert_eq!(rx, vec![Reception::Message { from: 1 }]);
     let b = breakdown[0];
     assert_eq!(b.listener, 0);
@@ -242,14 +259,11 @@ fn jammed_breakdown_includes_extra_term() {
     let jam = [7.0, 0.0];
     let mut breakdown = Vec::new();
     let mut rng = SmallRng::seed_from_u64(0);
-    let rx = ch.resolve_instrumented(
-        &pos,
-        &[1],
-        &[0],
-        &ChannelPerturbation::new(3.0, &jam),
-        &mut rng,
-        &mut breakdown,
-    );
+    let round = Round {
+        perturbation: ChannelPerturbation::new(3.0, &jam),
+        ..Round::new(&pos, &[1], &[0])
+    };
+    let rx = resolve_with(&ch, &round, Engine::Exact, &mut rng, Some(&mut breakdown));
     let b = breakdown[0];
     // noise scaled 1×3, extra 7, interference 0 ⇒ denominator 10;
     // signal 16 ≥ 2·10 fails by margin −4.
@@ -259,4 +273,96 @@ fn jammed_breakdown_includes_extra_term() {
     assert!((b.margin + 4.0).abs() < 1e-12);
     assert!(!b.decoded);
     assert_eq!(rx, vec![Reception::Silence]);
+}
+
+/// A jittered-lattice deployment wide enough to span many engine tiles.
+fn lattice(side: usize) -> Vec<Point> {
+    let mut jitter = SmallRng::seed_from_u64(3);
+    (0..side * side)
+        .map(|i| {
+            Point::new(
+                (i % side) as f64 * 2.0 + jitter.gen_range(0.0..0.5),
+                (i / side) as f64 * 2.0 + jitter.gen_range(0.0..0.5),
+            )
+        })
+        .collect()
+}
+
+/// The total contract: a `Some` breakdown beside a built engine runs the
+/// exact scan (same receptions and rng state as the uninstrumented exact
+/// round, one breakdown per listener) and never touches the engine
+/// (`stats().rounds` stays put). A stale `out` of a different length
+/// comes back holding exactly one correct entry per listener — on the
+/// instrumented exact scan and on both engines' own paths.
+#[test]
+fn breakdown_overrides_engine_and_out_is_refilled() {
+    let positions = lattice(24);
+    let tx: Vec<usize> = (0..positions.len()).step_by(5).collect();
+    let ls: Vec<usize> = (0..positions.len()).filter(|i| i % 5 != 0).collect();
+    let jam: Vec<f64> = (0..positions.len())
+        .map(|i| if i % 7 == 0 { 0.5 } else { 0.0 })
+        .collect();
+    let ch = SinrChannel::new(params());
+    let mut farfield = FarFieldEngine::build_with_tiling(&positions, ch.params(), 6)
+        .expect("finite deployment builds a flat engine");
+    let mut hier =
+        HierarchicalFarFieldEngine::build(&positions, ch.params()).expect("hierarchical engine");
+    for perturbation in [
+        ChannelPerturbation::neutral(),
+        ChannelPerturbation::new(2.0, &jam),
+    ] {
+        let round = Round {
+            perturbation,
+            ..Round::new(&positions, &tx, &ls)
+        };
+        let mut exact_rng = SmallRng::seed_from_u64(11);
+        let exact = resolve_with(&ch, &round, Engine::Exact, &mut exact_rng, None);
+        assert_eq!(exact.len(), ls.len());
+
+        for tier in ["farfield", "hierarchical"] {
+            let rounds_before = (farfield.stats().rounds, hier.stats().rounds);
+            let engine = match tier {
+                "farfield" => Engine::FarField(&mut farfield),
+                _ => Engine::Hierarchical(&mut hier, &SerialExecutor),
+            };
+            let mut rng = SmallRng::seed_from_u64(11);
+            let mut out = vec![Reception::Collision; ls.len() / 2 + 3];
+            let mut breakdown = vec![STALE_BREAKDOWN; 5];
+            ch.resolve_round(&round, engine, &mut rng, &mut out, Some(&mut breakdown));
+            assert_eq!(out, exact, "{tier}: instrumented receptions diverged");
+            assert_eq!(rng, exact_rng, "{tier}: rng state diverged");
+            assert_eq!(
+                breakdown.len(),
+                ls.len(),
+                "{tier}: one breakdown per listener"
+            );
+            for (b, &v) in breakdown.iter().zip(&ls) {
+                assert_eq!(b.listener, v, "{tier}: breakdowns follow listener order");
+            }
+            assert_eq!(
+                (farfield.stats().rounds, hier.stats().rounds),
+                rounds_before,
+                "{tier}: an instrumented round must not consult the engine"
+            );
+
+            // The engine's own path refills a longer stale buffer too.
+            let engine = match tier {
+                "farfield" => Engine::FarField(&mut farfield),
+                _ => Engine::Hierarchical(&mut hier, &SerialExecutor),
+            };
+            let mut out = vec![Reception::Collision; 2 * ls.len() + 1];
+            ch.resolve_round(&round, engine, &mut rng, &mut out, None);
+            assert_eq!(out, exact, "{tier}: engine path left stale entries");
+        }
+    }
+    assert_eq!(
+        farfield.stats().rounds,
+        2,
+        "the flat engine served its two rounds"
+    );
+    assert_eq!(
+        hier.stats().rounds,
+        2,
+        "the hierarchical engine served its two rounds"
+    );
 }

@@ -28,6 +28,11 @@ use crate::scenario::{Scenario, ScenarioError};
 /// Longest accepted job id (ids become directory names).
 pub const MAX_ID_LEN: usize = 64;
 
+/// Largest accepted network size: 2²⁰, the largest deployment any
+/// experiment runs (E15). Beyond it a worker would allocate positions and
+/// protocol state until the process aborts, which no unwind can catch.
+pub const MAX_N: usize = 1 << 20;
+
 /// A serializable channel family choice. SINR parameters are derived from
 /// the deployment at build time (see the module docs), so only the family
 /// — plus the lossy drop probability — is persisted.
@@ -113,6 +118,13 @@ pub enum JobSpecError {
     Parse(String),
     /// The spec parsed but a field is out of range.
     Invalid(String),
+    /// The spec asks for more than [`MAX_N`] nodes.
+    TooLarge {
+        /// The requested network size.
+        n: usize,
+        /// The largest accepted size ([`MAX_N`]).
+        max: usize,
+    },
     /// The spec's scenario failed [`Scenario`] validation.
     Scenario(ScenarioError),
 }
@@ -122,6 +134,9 @@ impl fmt::Display for JobSpecError {
         match self {
             JobSpecError::Parse(msg) => write!(f, "job spec parse error: {msg}"),
             JobSpecError::Invalid(msg) => write!(f, "invalid job spec: {msg}"),
+            JobSpecError::TooLarge { n, max } => {
+                write!(f, "invalid job spec: n = {n} exceeds the maximum {max}")
+            }
             JobSpecError::Scenario(e) => write!(f, "job spec rejected by scenario: {e}"),
         }
     }
@@ -329,7 +344,8 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`JobSpecError::Invalid`] naming the offending field.
+    /// [`JobSpecError::Invalid`] naming the offending field, or
+    /// [`JobSpecError::TooLarge`] when `n` exceeds [`MAX_N`].
     pub fn validate(&self) -> Result<(), JobSpecError> {
         if self.id.is_empty() || self.id.len() > MAX_ID_LEN {
             return Err(invalid(format!(
@@ -345,6 +361,12 @@ impl JobSpec {
         }
         if self.n < 2 {
             return Err(invalid("n must be at least 2"));
+        }
+        if self.n > MAX_N {
+            return Err(JobSpecError::TooLarge {
+                n: self.n,
+                max: MAX_N,
+            });
         }
         if self.density <= 0.0 || !self.density.is_finite() {
             return Err(invalid("density must be finite and positive"));
@@ -492,6 +514,27 @@ mod tests {
             tweak(&mut spec);
             assert!(spec.validate().is_err(), "{name} should be rejected");
         }
+    }
+
+    #[test]
+    fn n_above_max_n_is_a_typed_rejection() {
+        let mut spec = JobSpec::example("huge");
+        spec.n = MAX_N;
+        assert!(spec.validate().is_ok(), "MAX_N itself is accepted");
+        for n in [MAX_N + 1, 1_000_000_000, usize::MAX] {
+            spec.n = n;
+            match spec.validate() {
+                Err(JobSpecError::TooLarge { n: got, max }) => {
+                    assert_eq!((got, max), (n, MAX_N));
+                }
+                other => panic!("n = {n} should be TooLarge, got {other:?}"),
+            }
+        }
+        // The wire path validates before anything is built.
+        spec.n = 1_000_000_000;
+        let err = JobSpec::from_json(&spec.to_json()).unwrap_err();
+        assert!(matches!(err, JobSpecError::TooLarge { .. }), "{err}");
+        assert!(err.to_string().contains("exceeds the maximum"), "{err}");
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::{Bbox, Point};
 /// A fixed `cols × rows` square tiling of a point set's bounding box.
 ///
 /// Tiles are identified by `tile_id = row * cols + col`. See the
-/// [module docs](self) for the content-bbox distance-bound contract.
+/// module docs for the content-bbox distance-bound contract.
 #[derive(Debug, Clone)]
 pub struct TileIndex {
     cols: usize,

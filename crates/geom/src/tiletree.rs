@@ -47,7 +47,7 @@ struct TreeLevel {
 ///
 /// Nodes are addressed as `(level, index)` with `level ∈ 0..num_levels()`;
 /// level 0 is the fine grid (same indices as [`TileTree::fine`]), the last
-/// level is the 1×1 root. See the [module docs](self) for the distance
+/// level is the 1×1 root. See the module docs for the distance
 /// bracket contract.
 #[derive(Debug, Clone)]
 pub struct TileTree {

@@ -3,7 +3,8 @@
 //! A [`Server`] owns a [`JobQueue`] and runs a small pool of job workers.
 //! Each claimed spec is validated into a `Scenario`, its trials are
 //! sharded across threads through
-//! [`run_trials_supervised_with_manifest`] — so panicked trials are
+//! [`run_trials_supervised_with_manifest`](fading_cr::sim::montecarlo::run_trials_supervised_with_manifest)
+//! — so panicked trials are
 //! tallied instead of fatal, and a SIGKILL loses at most the in-flight
 //! trials — and its artifacts land in the job's output directory:
 //!

@@ -153,7 +153,7 @@ where
 /// The sink only observes — outcomes, ordering, and the returned
 /// [`SupervisedRun`] are byte-identical to the unobserved runner
 /// (`run_trials_supervised` *is* this function with a
-/// [`NoopProgress`](crate::obs::NoopProgress) sink). Events from
+/// [`NoopProgress`] sink). Events from
 /// different seeds interleave by scheduling; within one seed the sequence
 /// is always started → retried\* → terminal.
 pub fn run_trials_supervised_observed<F>(

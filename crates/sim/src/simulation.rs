@@ -7,8 +7,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use fading_channel::{
-    Channel, ChannelPerturbation, FarFieldEngine, FarFieldStats, HierarchicalFarFieldEngine,
-    NodeId, SinrBreakdown,
+    Channel, ChannelPerturbation, Engine, FarFieldEngine, FarFieldStats,
+    HierarchicalFarFieldEngine, NodeId, Reception, Round, SinrBreakdown, SinrParams,
 };
 use fading_geom::{Deployment, Point};
 
@@ -45,9 +45,11 @@ pub const FARFIELD_AUTO_THRESHOLD: usize = 4096;
 /// [`Simulation::set_hierarchical_enabled`] overrides in either direction.
 pub const HIERARCHICAL_AUTO_THRESHOLD: usize = 65_536;
 
-/// The occupancy and decision-counter surface both far-field engines
-/// share, so the simulator keeps them in sync through one code path.
-trait TierEngine {
+/// The build, occupancy and decision-counter surface both far-field
+/// engines share, so the simulator keeps them in sync through one code
+/// path.
+trait TierEngine: Sized {
+    fn build(positions: &[Point], params: &SinrParams) -> Option<Self>;
     fn deactivate(&mut self, v: NodeId);
     fn activate(&mut self, v: NodeId);
     fn stats(&self) -> FarFieldStats;
@@ -55,6 +57,9 @@ trait TierEngine {
 }
 
 impl TierEngine for FarFieldEngine {
+    fn build(positions: &[Point], params: &SinrParams) -> Option<Self> {
+        FarFieldEngine::build(positions, params)
+    }
     fn deactivate(&mut self, v: NodeId) {
         FarFieldEngine::deactivate(self, v);
     }
@@ -70,6 +75,9 @@ impl TierEngine for FarFieldEngine {
 }
 
 impl TierEngine for HierarchicalFarFieldEngine {
+    fn build(positions: &[Point], params: &SinrParams) -> Option<Self> {
+        HierarchicalFarFieldEngine::build(positions, params)
+    }
     fn deactivate(&mut self, v: NodeId) {
         HierarchicalFarFieldEngine::deactivate(self, v);
     }
@@ -114,15 +122,20 @@ impl<E: TierEngine> LazyEngine<E> {
         matches!(self, LazyEngine::Unbuilt)
     }
 
-    /// The engine, building it on first use and replaying every inactive
-    /// node of `active` into its occupancy.
+    /// The engine, building it over `positions` on first use (when the
+    /// channel has pruning parameters) and replaying every inactive node
+    /// of `active` into its occupancy.
     fn get_or_build(
         &mut self,
+        channel: &dyn Channel,
+        positions: &[Point],
         active: &[bool],
-        build: impl FnOnce() -> Option<E>,
     ) -> Option<&mut E> {
         if self.is_unbuilt() {
-            *self = match build() {
+            let built = channel
+                .pruning_params()
+                .and_then(|p| E::build(positions, p));
+            *self = match built {
                 Some(mut e) => {
                     for (i, _) in active.iter().enumerate().filter(|(_, &a)| !a) {
                         e.deactivate(i);
@@ -248,6 +261,7 @@ pub struct Simulation {
     // Scratch buffers reused across rounds.
     transmitters: Vec<NodeId>,
     listeners: Vec<NodeId>,
+    receptions: Vec<Reception>,
     // Fault injection (see crate::faults). `fault_plan` is None until a
     // plan is attached; all other fields are cheap placeholders until then.
     fault_plan: Option<FaultPlan>,
@@ -331,6 +345,7 @@ impl Simulation {
             resolve_pool: StealPool::new(1),
             transmitters: Vec::new(),
             listeners: Vec::new(),
+            receptions: Vec::new(),
             fault_plan: None,
             fault_rng: fault_rng(seed),
             wake_round: Vec::new(),
@@ -533,8 +548,8 @@ impl Simulation {
     /// first round it serves, with the then-current knockouts replayed
     /// into its occupancy. Because the far-field resolve is
     /// decision-exact (bit-identical receptions; see
-    /// [`Channel::resolve_farfield`](fading_channel::Channel::resolve_farfield)),
-    /// toggling this never changes a run's outcome — only its speed.
+    /// [`Channel::resolve_round`]), toggling this never changes a run's
+    /// outcome — only its speed.
     /// Exposed so equivalence and determinism tests can cross all engine
     /// tiers at any size.
     pub fn set_farfield_enabled(&mut self, enabled: bool) {
@@ -572,10 +587,8 @@ impl Simulation {
     /// outranks the flat far-field engine, which is then never built. Like
     /// every tier engine it is built on the first round it serves. The
     /// hierarchical resolve is decision-exact (bit-identical receptions;
-    /// see [`Channel::resolve_hierarchical`]), so toggling this never
-    /// changes a run's outcome — only its speed.
-    ///
-    /// [`Channel::resolve_hierarchical`]: fading_channel::Channel::resolve_hierarchical
+    /// see [`Channel::resolve_round`]), so toggling this never changes a
+    /// run's outcome — only its speed.
     pub fn set_hierarchical_enabled(&mut self, enabled: bool) {
         self.hierarchical_enabled = enabled;
     }
@@ -642,9 +655,9 @@ impl Simulation {
     /// read **once, here**. Replaces any previously attached sink.
     ///
     /// Attaching a sink never changes a run's outcome: events are pure
-    /// observations, and when SINR detail routes resolution through
-    /// [`Channel::resolve_instrumented`] that path is contractually
-    /// bit-identical to the uninstrumented one.
+    /// observations, and when SINR detail asks [`Channel::resolve_round`]
+    /// for breakdowns the receptions are contractually bit-identical to
+    /// an uninstrumented round's.
     pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
         self.telemetry_detail = sink.detail();
         self.telemetry = Some(sink);
@@ -933,14 +946,19 @@ impl Simulation {
         // engine is incompatible with the snapshot.
         self.farfield_enabled = snap.farfield_enabled;
         self.hierarchical_enabled = snap.hierarchical_enabled;
-        let (channel, positions, active) = (&self.channel, &self.positions, &self.active);
-        let restored = restore_engine(&mut self.farfield, snap.farfield_stats, active, || {
-            channel.build_farfield_engine(positions)
-        }) && restore_engine(
+        let (channel, positions, active) = (&*self.channel, &self.positions, &self.active);
+        let restored = restore_engine(
+            &mut self.farfield,
+            snap.farfield_stats,
+            channel,
+            positions,
+            active,
+        ) && restore_engine(
             &mut self.hierarchical,
             snap.hierarchical_stats,
+            channel,
+            positions,
             active,
-            || channel.build_hierarchical_engine(positions),
         );
         if !restored {
             return Err(SnapshotError::Incompatible {
@@ -1048,7 +1066,7 @@ impl Simulation {
     /// over flat when both are enabled — building its engine on first use;
     /// [`ResolvePath::Exact`] when no enabled tier has an engine.
     fn serving_tier(&mut self) -> ResolvePath {
-        let (channel, positions, active) = (&self.channel, &self.positions, &self.active);
+        let (channel, positions, active) = (&*self.channel, &self.positions, &self.active);
         if self.hierarchical_enabled {
             let _span = self
                 .hierarchical
@@ -1056,7 +1074,7 @@ impl Simulation {
                 .then(|| self.span("build.hierarchical"));
             if self
                 .hierarchical
-                .get_or_build(active, || channel.build_hierarchical_engine(positions))
+                .get_or_build(channel, positions, active)
                 .is_some()
             {
                 return ResolvePath::Hierarchical;
@@ -1069,7 +1087,7 @@ impl Simulation {
                 .then(|| self.span("build.farfield"));
             if self
                 .farfield
-                .get_or_build(active, || channel.build_farfield_engine(positions))
+                .get_or_build(channel, positions, active)
                 .is_some()
             {
                 return ResolvePath::FarField;
@@ -1182,7 +1200,9 @@ impl Simulation {
         };
         // The far-field tiers only serve uninstrumented rounds: SINR
         // breakdowns require the full per-pair decomposition the pruned
-        // paths exist to skip.
+        // paths exist to skip (the channel runs the exact scan whenever a
+        // breakdown is requested), so an instrumented round builds no
+        // engine.
         let resolve_path = if want_sinr {
             ResolvePath::Instrumented
         } else {
@@ -1205,42 +1225,28 @@ impl Simulation {
             ResolvePath::Hierarchical => "resolve.hierarchical",
             ResolvePath::Instrumented => "resolve.instrumented",
         });
-        let (positions, transmitters, listeners) =
-            (&self.positions, &self.transmitters, &self.listeners);
-        let mut receptions = match resolve_path {
-            ResolvePath::Exact => self.channel.resolve_perturbed(
-                positions,
-                transmitters,
-                listeners,
-                &perturbation,
-                &mut self.chan_rng,
-            ),
-            ResolvePath::FarField => self.channel.resolve_farfield(
-                positions,
-                transmitters,
-                listeners,
-                self.farfield.get_mut(),
-                &perturbation,
-                &mut self.chan_rng,
-            ),
-            ResolvePath::Hierarchical => self.channel.resolve_hierarchical(
-                positions,
-                transmitters,
-                listeners,
-                self.hierarchical.get_mut(),
-                &self.resolve_pool,
-                &perturbation,
-                &mut self.chan_rng,
-            ),
-            ResolvePath::Instrumented => self.channel.resolve_instrumented(
-                positions,
-                transmitters,
-                listeners,
-                &perturbation,
-                &mut self.chan_rng,
-                &mut self.sinr_scratch,
-            ),
+        let round = Round {
+            perturbation,
+            ..Round::new(&self.positions, &self.transmitters, &self.listeners)
         };
+        let engine = match resolve_path {
+            ResolvePath::FarField => self
+                .farfield
+                .get_mut()
+                .map_or(Engine::Exact, Engine::FarField),
+            ResolvePath::Hierarchical => self.hierarchical.get_mut().map_or(Engine::Exact, |e| {
+                Engine::Hierarchical(e, &self.resolve_pool)
+            }),
+            ResolvePath::Exact | ResolvePath::Instrumented => Engine::Exact,
+        };
+        let mut receptions = std::mem::take(&mut self.receptions);
+        self.channel.resolve_round(
+            &round,
+            engine,
+            &mut self.chan_rng,
+            &mut receptions,
+            want_sinr.then_some(&mut self.sinr_scratch),
+        );
         drop(span_tier);
         drop(span_resolve);
         debug_assert_eq!(receptions.len(), self.listeners.len());
@@ -1276,6 +1282,7 @@ impl Simulation {
                 let samples = sc.samples.min(m);
                 let inject = std::mem::take(&mut sc.inject_violation);
                 let mut violated = false;
+                let mut expected = Vec::with_capacity(1);
                 for s in 0..samples {
                     let idx = sc.rng.gen_range(0..m);
                     let audit = [self.listeners[idx]];
@@ -1283,13 +1290,15 @@ impl Simulation {
                     // draws); the clone just keeps the signature happy
                     // without touching the real stream.
                     let mut audit_rng = self.chan_rng.clone();
-                    let expected = self.channel.resolve_instrumented(
-                        &self.positions,
-                        &self.transmitters,
-                        &audit,
-                        &perturbation,
+                    self.channel.resolve_round(
+                        &Round {
+                            listeners: &audit,
+                            ..round
+                        },
+                        Engine::Exact,
                         &mut audit_rng,
-                        &mut self.self_check_scratch,
+                        &mut expected,
+                        Some(&mut self.self_check_scratch),
                     );
                     self.counters.self_check_samples += 1;
                     let nonfinite = self.self_check_scratch.first().is_some_and(|b| {
@@ -1335,7 +1344,7 @@ impl Simulation {
             if drop_prob > 0.0 {
                 for r in &mut receptions {
                     if r.is_message() && self.fault_rng.gen_bool(drop_prob) {
-                        *r = fading_channel::Reception::Silence;
+                        *r = Reception::Silence;
                         ge_dropped += 1;
                     }
                 }
@@ -1361,6 +1370,7 @@ impl Simulation {
                 self.hierarchical.set_active(v, false);
             }
         }
+        self.receptions = receptions;
         drop(span_feedback);
         self.mark_phase(Phase::Feedback, &mut phase_mark);
 
@@ -1519,11 +1529,12 @@ impl Simulation {
 fn restore_engine<E: TierEngine>(
     engine: &mut LazyEngine<E>,
     stats: Option<FarFieldStats>,
+    channel: &dyn Channel,
+    positions: &[Point],
     active: &[bool],
-    build: impl FnOnce() -> Option<E>,
 ) -> bool {
     let Some(stats) = stats else { return true };
-    match engine.get_or_build(active, build) {
+    match engine.get_or_build(channel, positions, active) {
         Some(e) => {
             e.set_stats(stats);
             true

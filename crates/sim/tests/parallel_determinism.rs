@@ -11,8 +11,8 @@
 //! stealing scheduler.
 
 use fading_channel::{
-    Channel, ChannelPerturbation, LossySinrChannel, RayleighSinrChannel, Reception, SerialExecutor,
-    SinrChannel, SinrParams, HIER_TILE_TASK,
+    Channel, Engine, HierarchicalFarFieldEngine, LossySinrChannel, RayleighSinrChannel, Reception,
+    Round, SerialExecutor, SinrChannel, SinrParams, HIER_TILE_TASK,
 };
 use fading_geom::Deployment;
 use fading_sim::faults::{ChurnEvent, FaultPlan, GilbertElliott, Jammer, NoiseBurst};
@@ -160,8 +160,7 @@ fn multi_chunk_resolve_is_executor_invariant() {
     let mut rng_seed = SmallRng::seed_from_u64(99);
     let transmitters: Vec<usize> = (0..n).filter(|_| rng_seed.gen_bool(0.25)).collect();
     let listeners: Vec<usize> = (0..n).filter(|i| !transmitters.contains(i)).collect();
-    let probe = ch
-        .build_hierarchical_engine(&positions)
+    let probe = HierarchicalFarFieldEngine::build(&positions, ch.params())
         .expect("SINR must build a hierarchical engine");
     let fine = probe.tree().fine();
     let mut tiles: Vec<usize> = listeners.iter().map(|&v| fine.tile_of(v)).collect();
@@ -173,17 +172,21 @@ fn multi_chunk_resolve_is_executor_invariant() {
     );
 
     let run = |executor: &dyn fading_channel::ChunkExecutor| {
-        let mut engine = ch.build_hierarchical_engine(&positions);
-        assert!(engine.is_some(), "SINR must build a hierarchical engine");
+        let mut engine = HierarchicalFarFieldEngine::build(&positions, ch.params())
+            .expect("SINR must build a hierarchical engine");
         let mut rng = SmallRng::seed_from_u64(7);
-        let rx = ch.resolve_hierarchical(
-            &positions,
-            &transmitters,
-            &listeners,
-            engine.as_mut(),
-            executor,
-            &ChannelPerturbation::neutral(),
+        let mut rx = Vec::new();
+        ch.resolve_round(
+            &Round::new(&positions, &transmitters, &listeners),
+            Engine::Hierarchical(&mut engine, executor),
             &mut rng,
+            &mut rx,
+            None,
+        );
+        assert_eq!(
+            engine.stats().rounds,
+            1,
+            "the hierarchical engine must serve"
         );
         (rx, rng)
     };
